@@ -32,6 +32,10 @@ _STATE_KEYS = {
     "squeezed_thermal": {"kind", "u", "v", "kappa"},
     "file": {"kind", "path"},
 }
+# every allowed field is required except these
+_STATE_OPTIONAL = {"kappa"}
+_ENGINES = ("fock", "gaussian", "analytic", "both")
+_ANALYTIC_KINDS = ("vacuum", "coherent", "mixture")
 _POLICY_KEYS = {f.name for f in dataclasses.fields(NumericalPolicy)}
 _SWEEP_KEYS = {"u_start", "u_stop", "u_step", "scenarios", "kappas"}
 _CONFIG_KEYS = {
@@ -87,10 +91,13 @@ def _parse_angle_list(values):
     return detection.AngleSettings(*(parse_angle(v) for v in values))
 
 
-def _check_keys(mapping, allowed, context):
+def _check_keys(mapping, allowed, context, required=frozenset()):
     unknown = sorted(set(mapping) - allowed)
     if unknown:
         raise ConfigError(f"unknown {context} field(s): {', '.join(unknown)}")
+    missing = sorted(required - set(mapping))
+    if missing:
+        raise ConfigError(f"{context} is missing field(s): {', '.join(missing)}")
 
 
 def _complex_entry(value, context):
@@ -148,7 +155,7 @@ class ExperimentConfig:
         config = cls()
         if "engine" in merged:
             engine = merged["engine"]
-            if engine not in ("fock", "gaussian", "both"):
+            if engine not in _ENGINES:
                 raise ConfigError(f"unknown engine {engine!r}")
             config.engine = engine
         if "state" in merged:
@@ -188,7 +195,8 @@ def _normalize_state(spec):
     if kind not in _STATE_KEYS:
         known = ", ".join(sorted(_STATE_KEYS))
         raise ConfigError(f"unknown state kind {kind!r} (expected one of: {known})")
-    _check_keys(spec, _STATE_KEYS[kind], f"state[{kind}]")
+    allowed = _STATE_KEYS[kind]
+    _check_keys(spec, allowed, f"state[{kind}]", required=allowed - _STATE_OPTIONAL)
     return spec
 
 
@@ -201,7 +209,14 @@ def _load_state_file(path, policy):
     """
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    _check_keys(data, {"mode_count", "cutoff", "amplitudes"}, "state file")
+    if not isinstance(data, dict):
+        raise ConfigError("state file must hold a JSON object")
+    _check_keys(
+        data,
+        {"mode_count", "cutoff", "amplitudes"},
+        "state file",
+        required={"cutoff", "amplitudes"},
+    )
     if data.get("mode_count", 4) != 4:
         raise ConfigError("state files must describe a four-mode state")
     cutoff = int(data["cutoff"])
@@ -210,7 +225,12 @@ def _load_state_file(path, policy):
     seen = set()
     for entry in data["amplitudes"]:
         _check_keys(entry, {"occupation", "re", "im"}, "amplitude")
-        occ = tuple(int(n) for n in entry["occupation"])
+        occ = tuple(int(n) for n in entry.get("occupation", ()))
+        if len(occ) != 4 or min(occ) < 0 or sum(occ) > cutoff:
+            raise ConfigError(
+                f"occupation {list(occ)} in state file is not four photon "
+                f"counts >= 0 with a total of at most the cutoff {cutoff}"
+            )
         if occ in seen:
             raise ConfigError(f"duplicate occupation {occ} in state file")
         seen.add(occ)
@@ -237,6 +257,11 @@ def _resolve_engine(config):
             "mixture": "analytic",
             "squeezed_thermal": "gaussian",
         }[kind]
+    if engine == "analytic" and kind not in _ANALYTIC_KINDS:
+        raise ConfigError(
+            f"the analytic engine cannot represent state kind {kind!r} "
+            f"(closed forms exist for: {', '.join(_ANALYTIC_KINDS)})"
+        )
     if engine == "gaussian" and kind != "squeezed_thermal":
         raise ConfigError(
             f"the gaussian engine cannot represent state kind {kind!r} "
@@ -269,8 +294,8 @@ def _mixture(spec):
 
 def _squeezed_spec(spec):
     return gaussian.SqueezedThermalSpec(
-        u=float(spec.get("u", 0.0)),
-        v=float(spec.get("v", 0.0)),
+        u=float(spec["u"]),
+        v=float(spec["v"]),
         kappa=float(spec.get("kappa", 1.0)),
     )
 
@@ -569,8 +594,15 @@ def cmd_validate(config):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ConfigError: exit code 2 means "inconclusive"."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bellsim",
         description="Generalized Clauser-Horne tests on four-mode field states.",
     )
@@ -578,7 +610,7 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--engine", choices=("fock", "gaussian", "both"))
+        p.add_argument("--engine", choices=_ENGINES)
         p.add_argument("--cutoff", type=int, help="total-photon cutoff (default 16)")
         p.add_argument("--seed", type=int, help="seed for random draws (default 0)")
         p.add_argument("--out", help="output path (default stdout)")
@@ -613,8 +645,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         config = ExperimentConfig.load(args)
         return args.func(config)
     except (BellSimError, ValueError, OSError, json.JSONDecodeError) as exc:

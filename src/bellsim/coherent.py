@@ -160,24 +160,22 @@ def mixture_fock_report(mixture, angles, cutoff, policy=DEFAULT_POLICY):
     """Fock-engine CH report of a mixture, averaging pure-component rates.
 
     Each coherent component is synthesized at the given total cutoff and
-    its rates computed by the Fock engine; the mixture rate is the weight
-    average (the rates are linear in the state). The report's error bar is
-    the weight-averaged truncation tail.
+    its rate tables computed by the Fock engine on the 2x2 setting grid;
+    the mixture tables are the weight average (the rates are linear in the
+    state). The report's error bar is the weight-averaged truncation tail.
     """
     from .fock import synthesize_coherent
 
+    if not isinstance(angles, detection.AngleSettings):
+        angles = detection.AngleSettings(*angles)
     states = [synthesize_coherent(z, cutoff, policy) for z in mixture.components]
     tail = float(np.sum(mixture.weights * [s.truncation_tail for s in states]))
-
-    def prob(t1, t2):
-        return float(
-            np.sum(
-                mixture.weights
-                * [detection.coincidence_probability(s, t1, t2, policy) for s in states]
-            )
-        )
-
-    return detection.assemble_report(prob, angles, tail, policy)
+    per_state = [detection._fock_rate_tables(s, *angles.beam_grids()) for s in states]
+    tables = tuple(
+        sum(w * table[part] for w, table in zip(mixture.weights, per_state))
+        for part in range(4)
+    )
+    return detection.report_from_tables(tables, angles, tail, policy)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,14 @@
 A detector answers one question per beam: did at least one photon arrive.
 The operator behind that answer is identity minus the vacuum projector, so
 every rate in this module reduces to vacuum-probability marginals computed
-straight from amplitudes or diagonals; no detection operator is ever built
-as a matrix.
+straight from amplitudes; no detection operator is ever built as a matrix.
+
+A polarizer conserves the photon number N of its beam, and inside each
+N-photon block of a beam "no photon in the transmitted mode" is a single
+vector (see :func:`_polarizer_vectors`). Every vacuum marginal behind the
+rates is therefore a sum of squared contractions of those vectors with the
+state's amplitudes regrouped by beam photon numbers, and
+:func:`_fock_rate_tables` evaluates them for whole grids of angles at once.
 
 Beam one holds modes (0, 1), beam two modes (2, 3). A polarizer angle of
 ``None`` means the polarizer is removed and the whole beam is watched.
@@ -16,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .fock import DensityOperator, OccupationState, partial_trace
 from .linear_optics import apply_passive, polarizer_rotation
@@ -31,8 +36,15 @@ INCONCLUSIVE = "inconclusive"
 
 
 def canonical_angle(theta):
-    """Fold an angle into [0, pi); the physics is pi-periodic."""
-    return float(theta) % math.pi
+    """Fold an angle into [0, pi); the physics is pi-periodic.
+
+    Raises ValueError for a non-finite angle, which has no place on the
+    circle.
+    """
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"angle {theta} is not finite")
+    return theta % math.pi
 
 
 @dataclass(frozen=True)
@@ -50,6 +62,10 @@ class AngleSettings:
 
     def as_tuple(self):
         return (self.theta1, self.theta2, self.theta1_alt, self.theta2_alt)
+
+    def beam_grids(self):
+        """The 2x2 setting grid: ((theta1, theta1'), (theta2, theta2'))."""
+        return (self.theta1, self.theta1_alt), (self.theta2, self.theta2_alt)
 
 
 @dataclass(frozen=True)
@@ -113,71 +129,182 @@ def polarizer_apply(state, theta, policy=DEFAULT_POLICY):
     return partial_trace(rotated, keep=(0,), policy=policy)
 
 
-def _rotated(state, theta1, theta2, policy):
-    out = state
-    if theta1 is not None:
-        out = apply_passive(out, polarizer_rotation(theta1, BEAM_ONE, 4), policy)
-    if theta2 is not None:
-        out = apply_passive(out, polarizer_rotation(theta2, BEAM_TWO, 4), policy)
-    return out
+def _polarizer_vectors(thetas, cutoff):
+    """V[N, t, k] = sqrt(C(N, k)) sin^k(theta_t) cos^(N-k)(theta_t), 0 for k > N.
+
+    In the N-photon block of a beam, with k photons in the beam's first
+    mode, V[N, t] is the state whose N photons all sit in the mode the
+    polarizer at theta_t blocks, sin(t) a_i^dag + cos(t) a_j^dag; it is
+    orthogonal to the transmitted mode cos(t) a_i - sin(t) a_j.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    n = np.arange(cutoff + 1)
+    # math.comb is 0 for k > N, which zeroes the entries past the block
+    root_binom = np.sqrt([[float(math.comb(big, k)) for k in n] for big in n])
+    sin_pow = np.sin(thetas)[None, :, None] ** n[None, None, :]
+    cos_exponent = np.maximum(n[:, None] - n[None, :], 0)
+    cos_pow = np.cos(thetas)[None, :, None] ** cos_exponent[:, None, :]
+    return root_binom[:, None, :] * sin_pow * cos_pow
 
 
-def coincidence_probability(state, theta1, theta2, policy=DEFAULT_POLICY):
-    """Joint rate P(theta1, theta2) on a four-mode state.
+def _beam_blocks(state):
+    """Amplitudes regrouped by beam photon numbers.
 
-    Either angle may be None, meaning that polarizer is removed and the
-    detector watches the full beam. Computed by inclusion-exclusion over
-    vacuum marginals of the rotated state.
+    Returns (weights, blocks) with blocks[r, N1, k, N2, l] the amplitude of
+    |k, N1 - k, l, N2 - l> in the r-th pure component, zero where no basis
+    state exists. A pure state is its own single component of weight 1; a
+    density operator enters through its eigen-decomposition
+    rho = sum_r weights[r] |psi_r><psi_r|, with signed eigenvalues, so
+    every marginal is the same weighted sum for both.
     """
     if state.mode_count != 4:
         raise ValueError("coincidence rates are defined on four-mode states")
-    rotated = _rotated(state, theta1, theta2, policy)
-    s1 = (0,) if theta1 is not None else BEAM_ONE
-    s2 = (2,) if theta2 is not None else BEAM_TWO
-    q1 = vacuum_probability(rotated, s1)
-    q2 = vacuum_probability(rotated, s2)
-    q12 = vacuum_probability(rotated, s1 + s2)
-    return 1.0 - q1 - q2 + q12
+    occ = state.basis.occupations
+    side = state.cutoff + 1
+    if isinstance(state, OccupationState):
+        weights = np.ones(1)
+        vectors = state.amplitudes[None, :]
+    else:
+        weights, columns = np.linalg.eigh(state.matrix)
+        vectors = columns.T
+    blocks = np.zeros((weights.size, side, side, side, side), dtype=np.complex128)
+    blocks[:, occ[:, 0] + occ[:, 1], occ[:, 0], occ[:, 2] + occ[:, 3], occ[:, 2]] = vectors
+    return weights, blocks
 
 
-def coincidence_rates(state, theta1, theta2, policy=DEFAULT_POLICY):
+def _weighted_norms(weights, values, axes):
+    """sum_r weights[r] * sum over ``axes`` of |values[r, ...]|^2."""
+    squares = values.real ** 2 + values.imag ** 2
+    return np.tensordot(weights, squares.sum(axis=axes), axes=1)
+
+
+def _polarize(vectors, blocks):
+    """out[r, N, t, ...] = sum_k vectors[N, t, k] blocks[r, N, k, ...].
+
+    The vectors are real, so one real matrix product handles the real and
+    imaginary parts together, on a float view with a doubled last axis.
+    """
+    count, side = blocks.shape[:2]
+    flat = np.ascontiguousarray(blocks).reshape(count, side, side, -1)
+    out = (vectors @ flat.view(np.float64)).view(np.complex128)
+    return out.reshape(count, side, vectors.shape[1], *blocks.shape[3:])
+
+
+def _swap_beams(blocks):
+    """blocks[r, N1, a, N2, b] -> [r, N2, b, N1, a]."""
+    return blocks.transpose(0, 3, 4, 1, 2)
+
+
+def _block_rate_tables(beam_blocks, thetas1, thetas2):
+    """Rate tables over the grid thetas1 x thetas2 from precomputed blocks.
+
+    Each rate is an inclusion-exclusion over vacuum marginals; with the
+    polarizer vectors V1, V2 every marginal is a weighted sum of squares:
+
+    - q1 (transmitted mode of beam one empty) and q134 (also beam two
+      empty) from X = V1 . B;
+    - q3 and q123 from Z = B . V2;
+    - q13 (both transmitted modes empty) from Y = V1 . B . V2^T, summed
+      over the beam photon numbers;
+    - q12, q34 and q_all (whole beams empty) from B itself.
+    """
+    weights, blocks = beam_blocks
+    side = blocks.shape[1]
+    v1 = _polarizer_vectors(thetas1, side - 1)
+    v2 = _polarizer_vectors(thetas2, side - 1)
+    x = _polarize(v1, blocks)  # [r, N1, t, N2, l]
+    z = _polarize(v2, _swap_beams(blocks))  # [r, N2, s, N1, k]
+    y = _polarize(v2, _swap_beams(x))  # [r, N2, s, N1, t]
+
+    q1 = _weighted_norms(weights, x, (1, 3, 4))
+    q134 = _weighted_norms(weights, x[:, :, :, 0, 0], 1)
+    q3 = _weighted_norms(weights, z, (1, 3, 4))
+    q123 = _weighted_norms(weights, z[:, :, :, 0, 0], 1)
+    q13 = _weighted_norms(weights, y, (1, 3)).T
+    q12 = float(_weighted_norms(weights, blocks[:, 0, 0], (1, 2)))
+    q34 = float(_weighted_norms(weights, blocks[:, :, :, 0, 0], (1, 2)))
+    q_all = float(_weighted_norms(weights, blocks[:, 0, 0, 0, 0], ()))
+
+    p_tt = 1.0 - q1[:, None] - q3[None, :] + q13
+    p_t_any = 1.0 - q1 - q34 + q134
+    p_any_t = 1.0 - q12 - q3 + q123
+    p_any_any = 1.0 - q12 - q34 + q_all
+    return p_tt, p_t_any, p_any_t, p_any_any
+
+
+def _fock_rate_tables(state, thetas1, thetas2):
+    """Rate tables of a four-mode Fock-engine state over an angle grid.
+
+    Returns (p_tt[i, j], p_t_any[i], p_any_t[j], p_any_any): the joint
+    rate with polarizers at thetas1[i] and thetas2[j], the rates with only
+    one polarizer in place, and the rate with both removed.
+    """
+    return _block_rate_tables(_beam_blocks(state), thetas1, thetas2)
+
+
+def coincidence_probability(state, theta1, theta2):
+    """Joint rate P(theta1, theta2) on a four-mode state.
+
+    Either angle may be None, meaning that polarizer is removed and the
+    detector watches the full beam.
+    """
+    p_tt, p_t_any, p_any_t, p_any_any = _fock_rate_tables(
+        state,
+        [0.0 if theta1 is None else theta1],
+        [0.0 if theta2 is None else theta2],
+    )
+    if theta1 is None:
+        return p_any_any if theta2 is None else float(p_any_t[0])
+    return float(p_t_any[0]) if theta2 is None else float(p_tt[0, 0])
+
+
+def coincidence_rates(state, theta1, theta2):
     """The four rates at one angle pair: both, first-only, second-only, none."""
+    p_tt, p_t_any, p_any_t, p_any_any = _fock_rate_tables(state, [theta1], [theta2])
     return FourRates(
-        p_tt=coincidence_probability(state, theta1, theta2, policy),
-        p_t_any=coincidence_probability(state, theta1, None, policy),
-        p_any_t=coincidence_probability(state, None, theta2, policy),
-        p_any_any=coincidence_probability(state, None, None, policy),
+        p_tt=float(p_tt[0, 0]),
+        p_t_any=float(p_t_any[0]),
+        p_any_t=float(p_any_t[0]),
+        p_any_any=p_any_any,
     )
 
 
-def assemble_report(prob, angles, tail_err=0.0, policy=DEFAULT_POLICY):
-    """Build a CoincidenceReport from a joint-rate callable.
+def report_from_tables(tables, angles, tail_err=0.0, policy=DEFAULT_POLICY):
+    """Build a CoincidenceReport from rate tables on the 2x2 setting grid.
 
-    ``prob(theta1, theta2)`` must accept None for a removed polarizer. This
-    is the single place where the CH functional, its margins and the
-    verdict are put together, shared by every engine.
+    ``tables`` is (p_tt, p_t_any, p_any_t, p_any_any) evaluated on
+    thetas1 = (theta1, theta1') and thetas2 = (theta2, theta2'), the shape
+    every engine's rate tables take. This is the single place where the
+    CH functional, its margins and the verdict are put together.
     """
     if not isinstance(angles, AngleSettings):
         angles = AngleSettings(*angles)
-    t1, t2, t1a, t2a = angles.as_tuple()
-
-    p_tt = prob(t1, t2)
-    p_t_talt = prob(t1, t2a)
-    p_talt_t = prob(t1a, t2)
-    p_talt_talt = prob(t1a, t2a)
-    p_talt_any = prob(t1a, None)
-    p_any_t = prob(None, t2)
-    p_t_any = prob(t1, None)
-    p_any_any = prob(None, None)
+    p_tt, p_t_any, p_any_t, p_any_any = tables
+    rates = dict(
+        p_tt=float(p_tt[0, 0]),
+        p_t_talt=float(p_tt[0, 1]),
+        p_talt_t=float(p_tt[1, 0]),
+        p_talt_talt=float(p_tt[1, 1]),
+        p_t_any=float(p_t_any[0]),
+        p_talt_any=float(p_t_any[1]),
+        p_any_t=float(p_any_t[0]),
+        p_any_any=float(p_any_any),
+    )
 
     tol = policy.verdict_tol + tail_err
-    for value in (p_tt, p_t_talt, p_talt_t, p_talt_talt,
-                  p_talt_any, p_any_t, p_t_any, p_any_any):
+    for name, value in rates.items():
+        if not math.isfinite(value):
+            raise ValueError(f"rate {name} = {value} is not finite")
         if value < -tol or value > 1.0 + tol:
             raise ValueError(f"rate {value} outside [0, 1] beyond the error bar")
 
-    f = p_tt - p_t_talt + p_talt_t + p_talt_talt - p_talt_any - p_any_t
-    lower_margin = f + p_any_any
+    f = (
+        rates["p_tt"] - rates["p_t_talt"] + rates["p_talt_t"] + rates["p_talt_talt"]
+        - rates["p_talt_any"] - rates["p_any_t"]
+    )
+    if not (math.isfinite(f) and math.isfinite(tol)):
+        raise ValueError(f"f = {f} with error bar {tol} gives no verdict")
+    lower_margin = f + rates["p_any_any"]
     upper_margin = -f
     # A violation is only claimed when a bound is broken by more than the
     # numerical error bar; a bound broken within the error bar is
@@ -191,30 +318,43 @@ def assemble_report(prob, angles, tail_err=0.0, policy=DEFAULT_POLICY):
 
     return CoincidenceReport(
         angles=angles,
-        p_tt=p_tt,
-        p_t_any=p_t_any,
-        p_any_t=p_any_t,
-        p_any_any=p_any_any,
-        p_t_talt=p_t_talt,
-        p_talt_t=p_talt_t,
-        p_talt_talt=p_talt_talt,
-        p_talt_any=p_talt_any,
         f=f,
         lower_margin=lower_margin,
         upper_margin=upper_margin,
         tail_err=tail_err,
         verdict=verdict,
+        **rates,
     )
+
+
+def assemble_report(prob, angles, tail_err=0.0, policy=DEFAULT_POLICY):
+    """Build a CoincidenceReport from a joint-rate callable.
+
+    ``prob(theta1, theta2)`` must accept None for a removed polarizer; it
+    is evaluated at the eight settings the CH functional needs.
+    """
+    if not isinstance(angles, AngleSettings):
+        angles = AngleSettings(*angles)
+    t1, t2, t1a, t2a = angles.as_tuple()
+    tables = (
+        np.array([[prob(t1, t2), prob(t1, t2a)], [prob(t1a, t2), prob(t1a, t2a)]]),
+        np.array([prob(t1, None), prob(t1a, None)]),
+        np.array([prob(None, t2)]),
+        prob(None, None),
+    )
+    return report_from_tables(tables, angles, tail_err, policy)
+
+
+def _blocks_report(beam_blocks, angles, tail_err, policy):
+    if not isinstance(angles, AngleSettings):
+        angles = AngleSettings(*angles)
+    tables = _block_rate_tables(beam_blocks, *angles.beam_grids())
+    return report_from_tables(tables, angles, tail_err, policy)
 
 
 def ch_functional(state, angles, policy=DEFAULT_POLICY):
     """Evaluate the CH functional on a Fock-engine state."""
-    return assemble_report(
-        lambda t1, t2: coincidence_probability(state, t1, t2, policy),
-        angles,
-        tail_err=state.truncation_tail,
-        policy=policy,
-    )
+    return _blocks_report(_beam_blocks(state), angles, state.truncation_tail, policy)
 
 
 @dataclass(frozen=True)
@@ -226,44 +366,6 @@ class ScanResult:
     grid_f: float
     grid_density: int
     refined: bool
-
-
-def _fock_scan_tables(state, thetas, policy):
-    """Rate tables over an angle grid for a Fock-engine state.
-
-    Returns (p_tt[i, j], p_t_any[i], p_any_t[j], p_any_any). Only vacuum
-    marginals of rotated states are needed, so the cost is a pair of
-    rotations per grid point.
-    """
-    n = len(thetas)
-    rotated_one = [
-        apply_passive(state, polarizer_rotation(t, BEAM_ONE, 4), policy)
-        for t in thetas
-    ]
-    rotated_two = [
-        apply_passive(state, polarizer_rotation(t, BEAM_TWO, 4), policy)
-        for t in thetas
-    ]
-    q12 = vacuum_probability(state, BEAM_ONE)
-    q34 = vacuum_probability(state, BEAM_TWO)
-    q_all = vacuum_probability(state, BEAM_ONE + BEAM_TWO)
-
-    q1 = np.array([vacuum_probability(s, (0,)) for s in rotated_one])
-    q134 = np.array([vacuum_probability(s, (0, 2, 3)) for s in rotated_one])
-    q3 = np.array([vacuum_probability(s, (2,)) for s in rotated_two])
-    q123 = np.array([vacuum_probability(s, (0, 1, 2)) for s in rotated_two])
-
-    q13 = np.empty((n, n))
-    for i, s in enumerate(rotated_one):
-        for j, t in enumerate(thetas):
-            both = apply_passive(s, polarizer_rotation(t, BEAM_TWO, 4), policy)
-            q13[i, j] = vacuum_probability(both, (0, 2))
-
-    p_tt = 1.0 - q1[:, None] - q3[None, :] + q13
-    p_t_any = 1.0 - q1 - q34 + q134
-    p_any_t = 1.0 - q12 - q3 + q123
-    p_any_any = 1.0 - q12 - q34 + q_all
-    return p_tt, p_t_any, p_any_t, p_any_any
 
 
 def scan_angle_tables(p_tt, p_t_any, p_any_t, p_any_any, thetas):
@@ -292,6 +394,9 @@ def _f_value(evaluate, angles):
 
 
 def _refine(evaluate, start, grid_f):
+    # imported here: only --refine needs scipy.optimize, and it is slow to load
+    from scipy import optimize
+
     result = optimize.minimize(
         lambda x: -_f_value(evaluate, x),
         x0=np.asarray(start, dtype=float),
@@ -326,8 +431,10 @@ def angle_scan(state, grid_density=16, refine=False, policy=DEFAULT_POLICY):
     thetas = np.arange(grid_density) * math.pi / grid_density
 
     if isinstance(state, (OccupationState, DensityOperator)):
-        tables = _fock_scan_tables(state, thetas, policy)
-        evaluate = lambda a: ch_functional(state, a, policy)
+        beam_blocks = _beam_blocks(state)
+        tables = _block_rate_tables(beam_blocks, thetas, thetas)
+        tail = state.truncation_tail
+        evaluate = lambda a: _blocks_report(beam_blocks, a, tail, policy)
     else:
         from . import coherent, gaussian
 

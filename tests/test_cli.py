@@ -329,3 +329,121 @@ def test_angles_must_come_in_fours(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_non_finite_angles_are_an_error(capsys):
+    for angles in ("nan,0,0,0", "0,inf,0,0"):
+        code, out, err = run_cli(
+            ["run", "--state", "two_photon", "--angles", angles], capsys
+        )
+        assert code == 1
+        assert "verdict" not in out
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:")
+
+
+def test_analytic_engine_is_accepted_for_closed_form_states(tmp_path, capsys):
+    mixture = json.dumps(
+        {"kind": "mixture", "weights": [0.5, 0.5],
+         "components": [[0.3, 0.1, 0, 0], [0, 0, 0.2, [0.1, 0.4]]]}
+    )
+    coherent_state = json.dumps({"kind": "coherent", "z": [0.5, 0.1, 0, 0.3]})
+    for state in ("vacuum", coherent_state, mixture):
+        code, out, err = run_cli(
+            ["run", "--state", state, "--engine", "analytic", "--angles", "0,1,0.5,0.2"],
+            capsys,
+        )
+        assert code == 0, err
+        assert "verdict: not violated" in out
+    code, out, _ = run_cli(
+        ["scan", "--state", coherent_state, "--engine", "analytic", "--grid", "4"], capsys
+    )
+    assert code == 0
+    squeezed = json.dumps({"kind": "squeezed_thermal", "u": 0.2, "v": 0.2})
+    for state in ("two_photon", squeezed):
+        code, _, err = run_cli(["run", "--state", state, "--engine", "analytic"], capsys)
+        assert code == 1
+        assert err.startswith("error:") and "analytic" in err
+    with pytest.raises(ConfigError):
+        cli._resolve_engine(
+            cli.ExperimentConfig(engine="analytic", state={"kind": "two_photon"})
+        )
+
+
+def test_usage_errors_exit_one_not_inconclusive(capsys):
+    for argv in (
+        [],
+        ["run", "--bogus"],
+        ["run", "--engine", "warp"],
+        ["scan", "--grid", "many"],
+        ["teleport"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
+
+def test_missing_state_fields_are_errors(capsys):
+    for spec in (
+        {"kind": "coherent"},
+        {"kind": "mixture", "weights": [1.0]},
+        {"kind": "squeezed_thermal", "u": 0.2},
+        {"kind": "squeezed_thermal", "v": 0.2, "kappa": 0.9},
+        {"kind": "file"},
+    ):
+        code, _, err = run_cli(["run", "--state", json.dumps(spec)], capsys)
+        assert code == 1, spec
+        assert err.startswith("error:") and "missing" in err
+
+
+def test_squeezed_thermal_kappa_defaults_to_one(capsys):
+    spec = json.dumps({"kind": "squeezed_thermal", "u": 0.62, "v": 0.62})
+    code, out, _ = run_cli(
+        ["run", "--state", spec, "--angles", "pi/8,pi/4,3pi/8,0", "--engine", "both",
+         "--cutoff", "8"],
+        capsys,
+    )
+    assert code == 0
+    assert "verdict: violated" in out
+
+
+def test_bad_state_file_occupations_are_errors(tmp_path, capsys):
+    cases = {
+        "over_cutoff": {"cutoff": 2, "amplitudes": [{"occupation": [3, 0, 0, 0], "re": 1.0}]},
+        "too_short": {"cutoff": 2, "amplitudes": [{"occupation": [1, 0, 0], "re": 1.0}]},
+        "negative": {"cutoff": 2, "amplitudes": [{"occupation": [-1, 1, 0, 0], "re": 1.0}]},
+        "no_cutoff": {"amplitudes": [{"occupation": [1, 0, 0, 1], "re": 1.0}]},
+        "no_amplitudes": {"cutoff": 2},
+    }
+    for name, payload in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        state_arg = json.dumps({"kind": "file", "path": str(path)})
+        code, _, err = run_cli(["run", "--state", state_arg, "--angles", "0,0,0,0"], capsys)
+        assert code == 1, name
+        assert err.startswith("error:")
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, bellsim.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -226,3 +226,21 @@ def test_scan_handles_density_operators():
     rho = fock.two_photon_state().to_density_operator()
     result = detection.angle_scan(rho, grid_density=8)
     assert result.f > 0.19
+
+
+def test_angle_settings_reject_non_finite_angles():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            AngleSettings(bad, 0.0, 0.0, 0.0)
+
+
+def test_assemble_report_gives_no_verdict_on_non_finite_numbers():
+    angles = AngleSettings(0.1, 0.2, 0.3, 0.4)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            detection.assemble_report(lambda t1, t2: bad, angles)
+        # one bad rate among good ones is enough
+        with pytest.raises(ValueError):
+            detection.assemble_report(
+                lambda t1, t2: bad if t2 is None else 0.5, angles
+            )
