@@ -100,13 +100,34 @@ def _check_keys(mapping, allowed, context, required=frozenset()):
         raise ConfigError(f"{context} is missing field(s): {', '.join(missing)}")
 
 
+def _as_float(value, context):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}: expected a number, got {value!r}") from None
+
+
+def _as_int(value, context):
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{context}: expected an integer, got {value!r}") from None
+
+
 def _complex_entry(value, context):
     """Read one amplitude given as a number or a [re, im] pair."""
     if isinstance(value, (int, float)):
         return complex(value, 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_as_float(value[0], context), _as_float(value[1], context))
     raise ConfigError(f"{context}: expected a number or [re, im] pair, got {value!r}")
+
+
+def _amplitude_list(value, context):
+    """Four amplitudes, one per mode, each a number or a [re, im] pair."""
+    if not isinstance(value, list) or len(value) != 4:
+        raise ConfigError(f"{context}: expected a list of 4 amplitudes, got {value!r}")
+    return [_complex_entry(entry, context) for entry in value]
 
 
 @dataclasses.dataclass
@@ -219,13 +240,20 @@ def _load_state_file(path, policy):
     )
     if data.get("mode_count", 4) != 4:
         raise ConfigError("state files must describe a four-mode state")
-    cutoff = int(data["cutoff"])
+    cutoff = _as_int(data["cutoff"], "state file cutoff")
+    if not isinstance(data["amplitudes"], list):
+        raise ConfigError("state file amplitudes must be a list")
     basis = fock.enumerate_basis(4, cutoff, policy)
     vector = np.zeros(basis.size, dtype=np.complex128)
     seen = set()
     for entry in data["amplitudes"]:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"state file amplitude {entry!r} is not an object")
         _check_keys(entry, {"occupation", "re", "im"}, "amplitude")
-        occ = tuple(int(n) for n in entry.get("occupation", ()))
+        occ = entry.get("occupation", [])
+        if not isinstance(occ, list):
+            raise ConfigError(f"occupation {occ!r} in state file is not a list")
+        occ = tuple(_as_int(n, "occupation") for n in occ)
         if len(occ) != 4 or min(occ) < 0 or sum(occ) > cutoff:
             raise ConfigError(
                 f"occupation {list(occ)} in state file is not four photon "
@@ -235,7 +263,10 @@ def _load_state_file(path, policy):
             raise ConfigError(f"duplicate occupation {occ} in state file")
         seen.add(occ)
         index = basis.index_of(occ)
-        vector[index] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+        vector[index] = complex(
+            _as_float(entry.get("re", 0.0), "amplitude re"),
+            _as_float(entry.get("im", 0.0), "amplitude im"),
+        )
     norm = float(np.linalg.norm(vector))
     if norm < 1e-12:
         raise ConfigError("state file holds a zero vector")
@@ -269,7 +300,9 @@ def _resolve_engine(config):
         )
     if engine == "both" and kind != "squeezed_thermal":
         raise ConfigError("engine 'both' is only defined for squeezed_thermal states")
-    kappa = float(config.state.get("kappa", 1.0)) if kind == "squeezed_thermal" else None
+    kappa = None
+    if kind == "squeezed_thermal":
+        kappa = _as_float(config.state.get("kappa", 1.0), "kappa")
     if engine == "fock" and kind == "squeezed_thermal" and kappa != 1.0:
         raise ConfigError("the Fock engine can only replicate kappa = 1 states")
     if engine == "both" and kappa != 1.0:
@@ -280,23 +313,26 @@ def _resolve_engine(config):
 def _coherent_amplitudes(spec):
     if spec["kind"] == "vacuum":
         return coherent.CoherentAmplitudes(np.zeros(4, dtype=np.complex128))
-    z = [_complex_entry(entry, "coherent z") for entry in spec["z"]]
+    z = _amplitude_list(spec["z"], "coherent z")
     return coherent.CoherentAmplitudes(np.asarray(z))
 
 
 def _mixture(spec):
-    components = [
-        [_complex_entry(entry, "mixture component") for entry in row]
-        for row in spec["components"]
-    ]
-    return coherent.ClassicalMixture(np.asarray(spec["weights"]), np.asarray(components))
+    weights, components = spec["weights"], spec["components"]
+    if not isinstance(weights, list):
+        raise ConfigError(f"mixture weights: expected a list, got {weights!r}")
+    if not isinstance(components, list):
+        raise ConfigError(f"mixture components: expected a list, got {components!r}")
+    weights = [_as_float(w, "mixture weight") for w in weights]
+    components = [_amplitude_list(row, "mixture component") for row in components]
+    return coherent.ClassicalMixture(np.asarray(weights), np.asarray(components))
 
 
 def _squeezed_spec(spec):
     return gaussian.SqueezedThermalSpec(
-        u=float(spec["u"]),
-        v=float(spec["v"]),
-        kappa=float(spec.get("kappa", 1.0)),
+        u=_as_float(spec["u"], "u"),
+        v=_as_float(spec["v"], "v"),
+        kappa=_as_float(spec.get("kappa", 1.0), "kappa"),
     )
 
 
@@ -309,6 +345,8 @@ def build_state(config, engine):
         # two-photon cutoff is exact regardless of config.cutoff
         return fock.two_photon_state()
     if kind == "file":
+        if not isinstance(spec["path"], str):
+            raise ConfigError(f"state file path: expected a string, got {spec['path']!r}")
         return _load_state_file(spec["path"], config.policy)
     if kind in ("vacuum", "coherent"):
         amplitudes = _coherent_amplitudes(spec)
@@ -325,12 +363,14 @@ def build_state(config, engine):
     raise ConfigError(f"unhandled state kind {kind!r}")
 
 
-def _report_for(state, angles, config):
+def _report_for(state, angles, config, engine):
     if isinstance(state, (fock.OccupationState, fock.DensityOperator)):
         return detection.ch_functional(state, angles, config.policy)
     if isinstance(state, coherent.CoherentAmplitudes):
         return coherent.coherent_ch(state, angles, config.policy)
     if isinstance(state, coherent.ClassicalMixture):
+        if engine == "fock":
+            return coherent.mixture_fock_report(state, angles, config.cutoff, config.policy)
         return coherent.mixture_ch(state, angles, config.policy)
     if isinstance(state, gaussian.GaussianState):
         return gaussian.gaussian_ch(state, angles, config.policy)
@@ -438,7 +478,7 @@ def cmd_run(config):
         return _exit_code(g_report)
 
     state = build_state(config, engine)
-    report = _report_for(state, angles, config)
+    report = _report_for(state, angles, config, engine)
     _print_report(report)
     if config.out:
         _write_lines(config.out, _report_csv(report))
@@ -478,6 +518,11 @@ def cmd_scan(config):
     engine = _resolve_engine(config)
     if engine == "both":
         raise ConfigError("scan uses one engine at a time")
+    if engine == "fock" and config.state["kind"] == "mixture":
+        raise ConfigError(
+            "scan cannot use the fock engine on a mixture state; "
+            "use run --engine fock, or scan with the analytic engine"
+        )
     state = build_state(config, engine)
     if isinstance(state, coherent.CoherentAmplitudes):
         state = coherent.ClassicalMixture(np.ones(1), state.z.reshape(1, 4))
@@ -492,7 +537,7 @@ def cmd_scan(config):
     print(f"grid f = {result.grid_f:.12f} over {result.grid_density}^4 points")
     if result.refined:
         print(f"refined f = {result.f:.12f}")
-    report = _report_for(state, best, config)
+    report = _report_for(state, best, config, engine)
     print(f"verdict at best angles: {report.verdict}")
     return 0
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection
-from ._concurrency import map_ordered
 from .policy import DEFAULT_POLICY
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -223,17 +222,14 @@ def classical_nonviolation_suite(
     Each trial draws a random mixture, scrambles it with a Haar-random
     passive U(4), draws four random angles, and evaluates the CH report
     with the closed forms. A failing trial's (seed, trial) pair is
-    reported so it can be replayed. Trials run on the shared thread pool.
+    reported so it can be replayed.
     """
-    reports = map_ordered(
-        lambda t: nonviolation_trial(seed, t, policy, amplitude_scale),
-        range(trials),
-    )
     worst_f = -math.inf
     worst_lower = math.inf
     violations = 0
     failing = None
-    for trial, report in enumerate(reports):
+    for trial in range(trials):
+        report = nonviolation_trial(seed, trial, policy, amplitude_scale)
         worst_f = max(worst_f, report.f)
         worst_lower = min(worst_lower, report.lower_margin)
         if report.verdict == detection.VIOLATED:

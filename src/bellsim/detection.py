@@ -242,20 +242,30 @@ def _fock_rate_tables(state, thetas1, thetas2):
     return _block_rate_tables(_beam_blocks(state), thetas1, thetas2)
 
 
+def single_rate(rate_tables, theta1, theta2):
+    """P(theta1, theta2) from an engine's rate tables on a 1x1 grid.
+
+    ``rate_tables(thetas1, thetas2)`` returns the four tables; an angle of
+    None removes that polarizer and picks the matching table.
+    """
+    p_tt, p_t_any, p_any_t, p_any_any = rate_tables(
+        [0.0 if theta1 is None else theta1], [0.0 if theta2 is None else theta2]
+    )
+    if theta1 is None:
+        return float(p_any_any) if theta2 is None else float(p_any_t[0])
+    return float(p_t_any[0]) if theta2 is None else float(p_tt[0, 0])
+
+
 def coincidence_probability(state, theta1, theta2):
     """Joint rate P(theta1, theta2) on a four-mode state.
 
     Either angle may be None, meaning that polarizer is removed and the
     detector watches the full beam.
     """
-    p_tt, p_t_any, p_any_t, p_any_any = _fock_rate_tables(
-        state,
-        [0.0 if theta1 is None else theta1],
-        [0.0 if theta2 is None else theta2],
+    beam_blocks = _beam_blocks(state)
+    return single_rate(
+        lambda t1, t2: _block_rate_tables(beam_blocks, t1, t2), theta1, theta2
     )
-    if theta1 is None:
-        return p_any_any if theta2 is None else float(p_any_t[0])
-    return float(p_t_any[0]) if theta2 is None else float(p_tt[0, 0])
 
 
 def coincidence_rates(state, theta1, theta2):
@@ -368,24 +378,55 @@ class ScanResult:
     refined: bool
 
 
+SCAN_TIE_TOL = 1e-12
+
+
 def scan_angle_tables(p_tt, p_t_any, p_any_t, p_any_any, thetas):
     """Exhaustive CH maximization over a grid, from precomputed rate tables.
 
-    Returns (best angle 4-tuple, best f). Ties break toward the
-    lexicographically first grid point.
+    Returns (best angle 4-tuple, grid maximum of f). The best angles are
+    the lexicographically first grid point (i, j, k, l) whose f lies
+    within SCAN_TIE_TOL of the maximum, so maxima that are tied up to
+    rounding give the same angles whatever the last bits of the rates.
+
+    With A = p_tt, t = p_t_any and s = p_any_t,
+    f(i, j, k, l) = [A_ij - A_il] + [A_kj + A_kl - t_k] - s_j separates: for each (j, l) the first bracket depends on i alone and
+    the second on k alone, so the search takes O(n^3) time and O(n^2)
+    memory. Rounding is monotone, so maximizing each bracket first gives
+    exactly the maximum of f evaluated in this order.
     """
-    f = (
-        p_tt[:, :, None, None]
-        - p_tt[:, None, None, :]
-        + p_tt.T[None, :, :, None]
-        + p_tt[None, None, :, :]
-        - p_t_any[None, None, :, None]
-        - p_any_t[None, :, None, None]
-    )
-    flat_best = int(np.argmax(f))
-    idx = np.unravel_index(flat_best, f.shape)
-    best = tuple(float(thetas[k]) for k in idx)
-    return best, float(f[idx])
+    a = np.asarray(p_tt, dtype=np.float64)
+    t = np.asarray(p_t_any, dtype=np.float64)
+    s = np.asarray(p_any_t, dtype=np.float64)[:, None]
+    n = len(a)
+
+    def outer(i):  # [j, l]: A_ij - A_il
+        return a[i, :, None] - a[i, None, :]
+
+    def inner(k):  # [j, l]: A_kj + A_kl - t_k
+        return (a[k, :, None] + a[k, None, :]) - t[k]
+
+    best_inner = inner(0)
+    best_outer = outer(0)
+    for k in range(1, n):
+        np.maximum(best_inner, inner(k), out=best_inner)
+        np.maximum(best_outer, outer(k), out=best_outer)
+    grid_max = float(np.max((best_outer + best_inner) - s))
+    if not math.isfinite(grid_max):
+        raise ValueError(f"grid maximum of f is {grid_max}")
+    threshold = grid_max - SCAN_TIE_TOL
+
+    for i in range(n):
+        by_jl = (outer(i) + best_inner) - s  # max over k of f(i, j, k, l)
+        if np.max(by_jl) >= threshold:
+            break
+    j = int(np.argmax(np.max(by_jl, axis=1) >= threshold))
+    by_kl = (a[i, j] - a[i, None, :]) + ((a[:, j, None] + a) - t[:, None])
+    by_kl = by_kl - s[j]
+    k = int(np.argmax(np.max(by_kl, axis=1) >= threshold))
+    l = int(np.argmax(by_kl[k] >= threshold))
+    best = tuple(float(thetas[m]) for m in (i, j, k, l))
+    return best, grid_max
 
 
 def _f_value(evaluate, angles):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection
-from ._concurrency import map_ordered
 from .fock import vacuum_state
 from .linear_optics import (
     apply_passive,
@@ -24,7 +23,6 @@ from .linear_optics import (
     beam_wiring,
     check_unitary,
     entangling_unitary,
-    polarizer_rotation,
 )
 from .policy import DEFAULT_POLICY
 
@@ -34,6 +32,28 @@ def symplectic_form(mode_count):
     eye = np.eye(mode_count)
     zero = np.zeros((mode_count, mode_count))
     return np.block([[zero, eye], [-eye, zero]])
+
+
+def _checked_exponents(g):
+    """Validate a stack (..., 2n, 2n) of Wigner exponents; returns it symmetrized.
+
+    Every matrix must be symmetric, positive definite and obey the
+    uncertainty principle G^{-1} + i beta >= 0; the first failure raises
+    ValueError.
+    """
+    asym = float(np.max(np.abs(g - np.swapaxes(g, -1, -2))))
+    if asym > 1e-10:
+        raise ValueError(f"G is not symmetric (residual {asym:.3e})")
+    g = 0.5 * (g + np.swapaxes(g, -1, -2))
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise ValueError("G is not positive definite") from None
+    uncertainty = np.linalg.inv(g) + 1j * symplectic_form(g.shape[-1] // 2)
+    low = float(np.min(np.linalg.eigvalsh(uncertainty)[..., 0]))
+    if low < -1e-9:
+        raise ValueError(f"G violates the uncertainty principle (eigenvalue {low:.3e})")
+    return g
 
 
 @dataclass(frozen=True)
@@ -46,22 +66,7 @@ class GaussianState:
         g = np.asarray(self.g, dtype=np.float64)
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2:
             raise ValueError(f"G must be 2n x 2n, got shape {g.shape}")
-        asym = np.max(np.abs(g - g.T))
-        if asym > 1e-10:
-            raise ValueError(f"G is not symmetric (residual {asym:.3e})")
-        g = 0.5 * (g + g.T)
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise ValueError("G is not positive definite") from None
-        n = g.shape[0] // 2
-        uncertainty = np.linalg.inv(g) + 1j * symplectic_form(n)
-        low = float(np.linalg.eigvalsh(uncertainty)[0])
-        if low < -1e-9:
-            raise ValueError(
-                f"G violates the uncertainty principle (eigenvalue {low:.3e})"
-            )
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", _checked_exponents(g))
 
     @property
     def mode_count(self):
@@ -112,20 +117,26 @@ def _squeeze_q_exponents(u, v):
     return np.array([-u, v, -v, u])
 
 
-def build_squeezed_thermal(spec):
-    """The G matrix of the squeezed thermal family.
+def _squeezed_thermal_exponents(specs):
+    """The G matrices of a sequence of specs, as one (P, 8, 8) stack.
 
     The core sandwich is G = U^T S^T (kappa I) S U with S the diagonal
     squeeze scalings and U the embedded entangling mixer; the result is
     then relabeled by the beam wiring so that the u-squeezed pair feeds
     beam one and the v-squeezed pair feeds beam two.
     """
-    qe = _squeeze_q_exponents(spec.u, spec.v)
-    s_diag = np.exp(np.concatenate([qe, -qe]))
+    qe = np.array([_squeeze_q_exponents(spec.u, spec.v) for spec in specs]).reshape(-1, 4)
+    kappa = np.array([spec.kappa for spec in specs], dtype=np.float64)
+    s_diag = np.exp(np.concatenate([qe, -qe], axis=1))
     u8 = embed_passive(entangling_unitary())
-    g = spec.kappa * u8.T @ np.diag(s_diag**2) @ u8
+    g = (kappa[:, None, None] * u8.T) * (s_diag**2)[:, None, :] @ u8
     w8 = embed_passive(beam_wiring())
-    return GaussianState(w8 @ g @ w8.T)
+    return w8 @ g @ w8.T
+
+
+def build_squeezed_thermal(spec):
+    """The Gaussian state of one member of the squeezed thermal family."""
+    return GaussianState(_squeezed_thermal_exponents([spec])[0])
 
 
 def embed_passive(matrix, policy=DEFAULT_POLICY):
@@ -168,57 +179,106 @@ def vacuum_probability(state, modes):
     return _vacuum_prob_from_variance(variance_matrix(state), modes, state.mode_count)
 
 
-def _rotation(theta1, theta2):
-    rot = np.eye(4, dtype=np.complex128)
-    if theta1 is not None:
-        rot = polarizer_rotation(theta1, detection.BEAM_ONE, 4) @ rot
-    if theta2 is not None:
-        rot = polarizer_rotation(theta2, detection.BEAM_TWO, 4) @ rot
-    return rot
+def _transmitted_rows(thetas, beam):
+    """Quadrature rows (n, 2, 8) of the mode a polarizer transmits at each angle.
+
+    The transmitted mode is z' = cos(theta) z_i - sin(theta) z_j, so its q
+    and p quadratures are that combination of the beam's q's and p's.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64).reshape(-1)
+    i, j = beam
+    c, s = np.cos(thetas), np.sin(thetas)
+    rows = np.zeros((thetas.size, 2, 8))
+    rows[:, 0, i], rows[:, 0, j] = c, -s
+    rows[:, 1, i + 4], rows[:, 1, j + 4] = c, -s
+    return rows
 
 
-def _probability_from_variance(v, theta1, theta2):
-    m = embed_passive(_rotation(theta1, theta2))
-    rotated = m @ v @ m.T
-    s1 = (0,) if theta1 is not None else detection.BEAM_ONE
-    s2 = (2,) if theta2 is not None else detection.BEAM_TWO
-    q1 = _vacuum_prob_from_variance(rotated, s1, 4)
-    q2 = _vacuum_prob_from_variance(rotated, s2, 4)
-    q12 = _vacuum_prob_from_variance(rotated, s1 + s2, 4)
-    return 1.0 - q1 - q2 + q12
+def _vacuum_marginals(gram, index_sets):
+    """1/sqrt(det) of the principal blocks gram[..., s, s] for each row of index_sets."""
+    blocks = gram[..., index_sets[:, :, None], index_sets[:, None, :]]
+    det = np.linalg.det(blocks)
+    if not np.all(det > 0.0):
+        raise ValueError(
+            f"vacuum-overlap determinant is {np.min(det)}; state is invalid"
+        )
+    return 1.0 / np.sqrt(det)
+
+
+def rate_tables(v, thetas1, thetas2):
+    """Rate tables over the grid thetas1 x thetas2 from variance matrices.
+
+    ``v`` is one 8 x 8 variance matrix or a stack (..., 8, 8) of them.
+    Returns (p_tt[..., i, j], p_t_any[..., i], p_any_t[..., j],
+    p_any_any[...]), the shape of the Fock engine's rate tables.
+
+    Every rate is an inclusion-exclusion over vacuum marginals
+    1/sqrt(det(V_s + I/2)), where V_s is the covariance of the watched
+    quadratures: the transmitted mode (rows R(theta)) behind a polarizer,
+    the whole beam without one. All of them are principal blocks of one
+    Gram matrix rows . V . rows^T + I/2, so each block size (2, 4, 6 and
+    8) takes a single stacked determinant.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    r1 = _transmitted_rows(thetas1, detection.BEAM_ONE)
+    r2 = _transmitted_rows(thetas2, detection.BEAM_TWO)
+    n1, n2 = len(r1), len(r2)
+    # Gram indices: the n1 transmitted (q, p) pairs of beam one, the n2 of
+    # beam two, then the eight quadratures themselves
+    rows = np.concatenate([r1.reshape(-1, 8), r2.reshape(-1, 8), np.eye(8)])
+    gram = rows @ v @ rows.T + 0.5 * np.eye(len(rows))
+
+    def joined(left, right):  # every index row of left followed by every one of right
+        return np.concatenate(
+            [np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1))], axis=1
+        )
+
+    t1 = np.arange(2 * n1).reshape(n1, 2)
+    t2 = 2 * n1 + np.arange(2 * n2).reshape(n2, 2)
+    every = 2 * (n1 + n2) + np.arange(8)
+    beam1, beam2 = every[[0, 1, 4, 5]][None, :], every[[2, 3, 6, 7]][None, :]
+    q_one = _vacuum_marginals(gram, np.concatenate([t1, t2]))
+    q_two = _vacuum_marginals(gram, np.concatenate([joined(t1, t2), beam1, beam2]))
+    q_three = _vacuum_marginals(
+        gram, np.concatenate([joined(t1, beam2), joined(beam1, t2)])
+    )
+    q_all = _vacuum_marginals(gram, every[None, :])[..., 0]
+
+    q1, q3 = q_one[..., :n1], q_one[..., n1:]
+    q13 = q_two[..., : n1 * n2].reshape(*q_two.shape[:-1], n1, n2)
+    q12, q34 = q_two[..., -2], q_two[..., -1]
+    q134, q123 = q_three[..., :n1], q_three[..., n1:]
+
+    p_tt = 1.0 - q1[..., :, None] - q3[..., None, :] + q13
+    p_t_any = 1.0 - q1 - q34[..., None] + q134
+    p_any_t = 1.0 - q12[..., None] - q3 + q123
+    p_any_any = 1.0 - q12 - q34 + q_all
+    return p_tt, p_t_any, p_any_t, p_any_any
+
+
+def _four_mode_variance(state):
+    if state.mode_count != 4:
+        raise ValueError("coincidence rates are defined on four-mode states")
+    return variance_matrix(state)
 
 
 def coincidence_probability(state, theta1, theta2):
     """Joint rate P(theta1, theta2); None removes that polarizer."""
-    if state.mode_count != 4:
-        raise ValueError("coincidence rates are defined on four-mode states")
-    return _probability_from_variance(variance_matrix(state), theta1, theta2)
+    v = _four_mode_variance(state)
+    return detection.single_rate(lambda t1, t2: rate_tables(v, t1, t2), theta1, theta2)
 
 
 def gaussian_ch(state, angles, policy=DEFAULT_POLICY):
     """CH report for a four-mode Gaussian state."""
-    if state.mode_count != 4:
-        raise ValueError("the CH functional needs a four-mode state")
-    v = variance_matrix(state)
-    return detection.assemble_report(
-        lambda t1, t2: _probability_from_variance(v, t1, t2), angles, 0.0, policy
-    )
+    if not isinstance(angles, detection.AngleSettings):
+        angles = detection.AngleSettings(*angles)
+    tables = rate_tables(_four_mode_variance(state), *angles.beam_grids())
+    return detection.report_from_tables(tables, angles, 0.0, policy)
 
 
 def scan_tables(state, thetas):
     """Rate tables over an angle grid, for the shared scan core."""
-    v = variance_matrix(state)
-    n = len(thetas)
-    p_tt = np.empty((n, n))
-    p_t_any = np.empty(n)
-    p_any_t = np.empty(n)
-    for i, t1 in enumerate(thetas):
-        p_t_any[i] = _probability_from_variance(v, t1, None)
-        p_any_t[i] = _probability_from_variance(v, None, t1)
-        for j, t2 in enumerate(thetas):
-            p_tt[i, j] = _probability_from_variance(v, t1, t2)
-    p_any_any = _probability_from_variance(v, None, None)
-    return p_tt, p_t_any, p_any_t, p_any_any
+    return rate_tables(_four_mode_variance(state), thetas, thetas)
 
 
 def fock_equivalent_state(spec, cutoff, policy=DEFAULT_POLICY):
@@ -254,31 +314,39 @@ def sweep_rows(u_values, scenarios, kappas, angles, policy=DEFAULT_POLICY):
     """Evaluate the CH functional over a (kappa, scenario, u) grid.
 
     Returns one dict per point, in deterministic (kappa, scenario, u)
-    order, with the CSV fields u, v, kappa, f, neg_p_both, violated.
+    order, with the CSV fields u, v, kappa, f, neg_p_both, violated. Every
+    point is validated as a spec and as a Gaussian state, and the whole
+    grid goes through one batched rate-table evaluation.
     """
-    points = [
-        (kappa, scenario, u)
+    if not isinstance(angles, detection.AngleSettings):
+        angles = detection.AngleSettings(*angles)
+    specs = [
+        SqueezedThermalSpec(u=u, v=scenario_v(scenario, u), kappa=kappa)
         for kappa in kappas
         for scenario in scenarios
         for u in u_values
     ]
-
-    def run(point):
-        kappa, scenario, u = point
-        v = scenario_v(scenario, u)
-        state = build_squeezed_thermal(SqueezedThermalSpec(u=u, v=v, kappa=kappa))
-        report = gaussian_ch(state, angles, policy)
+    if not specs:
+        return []
+    g = _checked_exponents(_squeezed_thermal_exponents(specs))
+    tables = rate_tables(np.linalg.inv(g) / 2.0, *angles.beam_grids())
+    rows = []
+    for point, spec in enumerate(specs):
+        report = detection.report_from_tables(
+            tuple(table[point] for table in tables), angles, 0.0, policy
+        )
         neg_p_both = -report.p_any_any
         # the flag is the raw bound test on the emitted values, so a CSV
         # row is self-consistent: violated = 0 exactly when
         # neg_p_both <= f <= 0 holds for the numbers in the row
-        return {
-            "u": u,
-            "v": v,
-            "kappa": kappa,
-            "f": report.f,
-            "neg_p_both": neg_p_both,
-            "violated": 0 if neg_p_both <= report.f <= 0.0 else 1,
-        }
-
-    return map_ordered(run, points)
+        rows.append(
+            {
+                "u": spec.u,
+                "v": spec.v,
+                "kappa": spec.kappa,
+                "f": report.f,
+                "neg_p_both": neg_p_both,
+                "violated": 0 if neg_p_both <= report.f <= 0.0 else 1,
+            }
+        )
+    return rows

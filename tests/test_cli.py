@@ -433,6 +433,66 @@ def test_bad_state_file_occupations_are_errors(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+MIXTURE = {"kind": "mixture", "weights": [0.4, 0.6],
+           "components": [[1, 0.5, 0.8, 0.2], [0.5, 1, 0.3, 0.9]]}
+
+
+def test_run_with_the_fock_engine_on_a_mixture_reports_its_tail(tmp_path, capsys):
+    rows = {}
+    for engine in ("fock", "analytic"):
+        out_path = tmp_path / f"{engine}.csv"
+        code, _, _ = run_cli(
+            ["run", "--state", json.dumps(MIXTURE), "--engine", engine, "--cutoff", "14",
+             "--angles", "0,1,0.5,0.2", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        rows[engine] = next(csv.DictReader(out_path.open()))
+    tail = float(rows["fock"]["tail_err"])
+    assert 0.0 < tail < 1e-8
+    assert float(rows["analytic"]["tail_err"]) == 0.0
+    for name in ("p_tt", "p_t_any", "p_any_t", "p_any_any"):
+        gap = abs(float(rows["fock"][name]) - float(rows["analytic"][name]))
+        assert gap <= tail + 1e-12
+
+
+def test_scan_with_the_fock_engine_on_a_mixture_is_an_error(capsys):
+    code, out, err = run_cli(
+        ["scan", "--state", json.dumps(MIXTURE), "--engine", "fock"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "coherent", "z": 5},
+        {"kind": "coherent", "z": [[1, 0], [0, 0], [0, 0]]},
+        {"kind": "coherent", "z": [[1, 0], [0, None], 0, 0]},
+        {"kind": "mixture", "weights": [1.0], "components": [5]},
+        {"kind": "mixture", "weights": [1.0], "components": [[0.3, 0.1, 0.0]]},
+        {"kind": "mixture", "weights": [1.0], "components": 7},
+        {"kind": "squeezed_thermal", "u": [0.2], "v": 0.1},
+        {"kind": "file", "occupation": 5},
+        {"kind": "file", "amplitudes": [5]},
+    ],
+    ids=lambda spec: json.dumps(spec),
+)
+def test_malformed_state_shapes_are_errors(spec, tmp_path, capsys):
+    if spec["kind"] == "file":
+        entries = spec.get("amplitudes") or [{"occupation": spec["occupation"], "re": 1.0}]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"cutoff": 2, "amplitudes": entries}))
+        spec = {"kind": "file", "path": str(path)}
+    code, _, err = run_cli(
+        ["run", "--state", json.dumps(spec), "--angles", "0,0,0,0"], capsys
+    )
+    assert code == 1
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_importing_the_cli_does_not_load_scipy_optimize():
     import os
     import subprocess
@@ -442,8 +502,11 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, bellsim.cli; print('scipy.optimize' in sys.modules)"
+    probe = (
+        "import sys, bellsim.cli; "
+        "print('scipy.optimize' in sys.modules, 'concurrent.futures' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False"]

@@ -1,4 +1,7 @@
-"""Tests for the batched Fock rate tables behind every Fock-engine rate."""
+"""Tests for the batched rate tables of the Fock and Gaussian engines and the scan maximum."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -165,3 +168,201 @@ def test_removing_a_polarizer_gives_the_beam_wide_rate(seed, cutoff, theta, turn
     assert abs(detection.coincidence_probability(state, None, None) - beam_wide) < 1e-12
     # taking a polarizer out can only let more photons through
     assert p_any_t >= detection.coincidence_probability(state, theta, theta) - 1e-12
+
+
+# --- Gaussian engine ----------------------------------------------------------
+
+
+def reference_gaussian_rate(v, theta1, theta2):
+    """Per-point rate: rotate the whole 8 x 8 variance matrix, then take blocks.
+
+    The covariance engine's original formula, kept as the reference for
+    the stacked-determinant tables.
+    """
+    rot = np.eye(4, dtype=np.complex128)
+    if theta1 is not None:
+        rot = linear_optics.polarizer_rotation(theta1, detection.BEAM_ONE, 4) @ rot
+    if theta2 is not None:
+        rot = linear_optics.polarizer_rotation(theta2, detection.BEAM_TWO, 4) @ rot
+    m = gaussian.embed_passive(rot)
+    rotated = m @ v @ m.T
+
+    def vacuum(modes):
+        rows = list(modes) + [mode + 4 for mode in modes]
+        block = rotated[np.ix_(rows, rows)] + 0.5 * np.eye(len(rows))
+        return 1.0 / math.sqrt(np.linalg.det(block))
+
+    s1 = (0,) if theta1 is not None else detection.BEAM_ONE
+    s2 = (2,) if theta2 is not None else detection.BEAM_TWO
+    return 1.0 - vacuum(s1) - vacuum(s2) + vacuum(s1 + s2)
+
+
+def reference_gaussian_tables(v, thetas1, thetas2):
+    return (
+        np.array([[reference_gaussian_rate(v, a, b) for b in thetas2] for a in thetas1]),
+        np.array([reference_gaussian_rate(v, a, None) for a in thetas1]),
+        np.array([reference_gaussian_rate(v, None, b) for b in thetas2]),
+        reference_gaussian_rate(v, None, None),
+    )
+
+
+def random_gaussian_variance(rng):
+    spec = gaussian.SqueezedThermalSpec(
+        u=float(rng.uniform(-1.5, 1.5)),
+        v=float(rng.uniform(-1.5, 1.5)),
+        kappa=float(rng.uniform(0.1, 1.0)),
+    )
+    return gaussian.variance_matrix(gaussian.build_squeezed_thermal(spec))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gaussian_tables_match_the_per_point_formula(seed):
+    rng = np.random.default_rng(900 + seed)
+    v = random_gaussian_variance(rng)
+    thetas1 = rng.uniform(-4.0, 4.0, size=int(rng.integers(1, 6)))
+    thetas2 = rng.uniform(-4.0, 4.0, size=int(rng.integers(1, 6)))
+    got = gaussian.rate_tables(v, thetas1, thetas2)
+    assert got[0].shape == (thetas1.size, thetas2.size)
+    assert got[1].shape == (thetas1.size,) and got[2].shape == (thetas2.size,)
+    assert_tables_close(got, reference_gaussian_tables(v, thetas1, thetas2), 1e-14)
+
+
+def test_gaussian_tables_of_a_stack_match_each_matrix():
+    rng = np.random.default_rng(31)
+    stack = np.array([random_gaussian_variance(rng) for _ in range(5)]).reshape(5, 1, 8, 8)
+    thetas1, thetas2 = rng.uniform(0.0, np.pi, size=3), rng.uniform(0.0, np.pi, size=2)
+    got = gaussian.rate_tables(stack, thetas1, thetas2)
+    assert got[0].shape == (5, 1, 3, 2) and got[3].shape == (5, 1)
+    for point in range(5):
+        want = reference_gaussian_tables(stack[point, 0], thetas1, thetas2)
+        assert_tables_close([table[point, 0] for table in got], want, 1e-14)
+
+
+def test_gaussian_tables_take_a_fixed_number_of_determinants(monkeypatch):
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    rng = np.random.default_rng(3)
+    v = random_gaussian_variance(rng)
+    for shape, n in (((8, 8), 2), ((8, 8), 32), ((40, 8, 8), 2)):
+        calls.clear()
+        gaussian.rate_tables(np.broadcast_to(v, shape), np.zeros(n), np.ones(n))
+        assert len(calls) == 4, (shape, n)
+
+
+def test_gaussian_tables_reject_an_unphysical_variance():
+    with pytest.raises(ValueError, match="determinant"):
+        gaussian.rate_tables(np.diag([-2.0] + [0.5] * 7), [0.0], [0.0])
+
+
+def test_batched_sweep_matches_the_per_point_formula():
+    angles = AngleSettings(0.3, 1.1, 2.0, 2.9)
+    u_values = [0.0, 0.35, 0.9]
+    rows = gaussian.sweep_rows(u_values, gaussian.SWEEP_SCENARIOS, (1.0, 0.7), angles)
+    points = itertools.product((1.0, 0.7), gaussian.SWEEP_SCENARIOS, u_values)
+    assert len(rows) == 18
+    for row, (kappa, scenario, u) in zip(rows, points):
+        v_param = gaussian.scenario_v(scenario, u)
+        assert (row["u"], row["v"], row["kappa"]) == (u, v_param, kappa)
+        v = gaussian.variance_matrix(
+            gaussian.build_squeezed_thermal(gaussian.SqueezedThermalSpec(u, v_param, kappa))
+        )
+        t1, t2, t1a, t2a = angles.as_tuple()
+        rate = lambda a, b: reference_gaussian_rate(v, a, b)
+        f = (
+            rate(t1, t2) - rate(t1, t2a) + rate(t1a, t2) + rate(t1a, t2a)
+            - rate(t1a, None) - rate(None, t2)
+        )
+        assert abs(row["f"] - f) < 1e-14
+        assert abs(row["neg_p_both"] + rate(None, None)) < 1e-14
+
+
+def test_sweep_rejects_an_out_of_range_point():
+    with pytest.raises(ValueError, match="must not exceed 5"):
+        gaussian.sweep_rows([0.5, 5.5], ("equal",), (1.0,), (0.0, 0.1, 0.2, 0.3))
+    with pytest.raises(ValueError, match="kappa"):
+        gaussian.sweep_rows([0.5], ("equal",), (1.0, 1.2), (0.0, 0.1, 0.2, 0.3))
+
+
+GAUSSIAN_SPECS = st.builds(
+    gaussian.SqueezedThermalSpec,
+    u=st.floats(-1.5, 1.5),
+    v=st.floats(-1.5, 1.5),
+    kappa=st.floats(0.05, 1.0),
+)
+
+
+@PROPERTY
+@given(spec=GAUSSIAN_SPECS, thetas1=ANGLES, thetas2=ANGLES)
+def test_gaussian_rates_lie_in_the_unit_interval(spec, thetas1, thetas2):
+    v = gaussian.variance_matrix(gaussian.build_squeezed_thermal(spec))
+    for table in gaussian.rate_tables(v, thetas1, thetas2):
+        values = np.asarray(table)
+        assert np.all(values >= -1e-12)
+        assert np.all(values <= 1.0 + 1e-12)
+
+
+@PROPERTY
+@given(spec=GAUSSIAN_SPECS, thetas1=ANGLES, thetas2=ANGLES)
+def test_gaussian_rates_are_pi_periodic_in_each_angle(spec, thetas1, thetas2):
+    v = gaussian.variance_matrix(gaussian.build_squeezed_thermal(spec))
+    base = gaussian.rate_tables(v, thetas1, thetas2)
+    shifted_one = gaussian.rate_tables(v, np.add(thetas1, np.pi), thetas2)
+    shifted_two = gaussian.rate_tables(v, thetas1, np.subtract(thetas2, np.pi))
+    assert_tables_close(shifted_one, base, 1e-12)
+    assert_tables_close(shifted_two, base, 1e-12)
+
+
+# --- scan maximum ---------------------------------------------------------------
+
+
+def brute_force_scan(p_tt, p_t_any, p_any_t, thetas):
+    """The n^4 array of f and the lexicographically first near-maximal point."""
+    f = (
+        p_tt[:, :, None, None]
+        - p_tt[:, None, None, :]
+        + p_tt.T[None, :, :, None]
+        + p_tt[None, None, :, :]
+        - p_t_any[None, None, :, None]
+        - p_any_t[None, :, None, None]
+    )
+    grid_max = float(f.max())
+    first = int(np.argmax(f.ravel() >= grid_max - detection.SCAN_TIE_TOL))
+    idx = np.unravel_index(first, f.shape)
+    return tuple(float(thetas[k]) for k in idx), grid_max
+
+
+def tied_tables(rng, n):
+    """Random tables in which some angles duplicate others up to 1e-15 noise."""
+    p_tt = rng.uniform(0.0, 1.0, size=(n, n))
+    p_t_any = rng.uniform(0.0, 1.0, size=n)
+    p_any_t = rng.uniform(0.0, 1.0, size=n)
+    for _ in range(int(rng.integers(1, n + 1))):
+        src, dst = rng.choice(n, size=2, replace=False)
+        if rng.integers(2):
+            p_tt[dst], p_t_any[dst] = p_tt[src], p_t_any[src]
+        else:
+            p_tt[:, dst], p_any_t[dst] = p_tt[:, src], p_any_t[src]
+    p_tt = p_tt + rng.uniform(-1e-15, 1e-15, size=p_tt.shape)
+    p_t_any = p_t_any + rng.uniform(-1e-15, 1e-15, size=n)
+    p_any_t = p_any_t + rng.uniform(-1e-15, 1e-15, size=n)
+    return p_tt, p_t_any, p_any_t
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scan_maximum_matches_brute_force_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    thetas = np.arange(n) * np.pi / n
+    p_tt, p_t_any, p_any_t = tied_tables(rng, n)
+    best, grid_max = detection.scan_angle_tables(p_tt, p_t_any, p_any_t, 0.5, thetas)
+    want_best, want_max = brute_force_scan(p_tt, p_t_any, p_any_t, thetas)
+    assert best == want_best
+    assert abs(grid_max - want_max) < 1e-14
+
+
+def test_scan_maximum_rejects_non_finite_tables():
+    p_tt = np.full((3, 3), 0.5)
+    p_tt[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        detection.scan_angle_tables(p_tt, np.zeros(3), np.zeros(3), 0.0, np.arange(3))
