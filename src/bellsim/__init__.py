@@ -46,13 +46,11 @@ from .linear_optics import (
 from .detection import (
     AngleSettings,
     CoincidenceReport,
-    FourRates,
     ScanResult,
     angle_scan,
     assemble_report,
     ch_functional,
     coincidence_probability,
-    coincidence_rates,
     polarizer_apply,
     prob_at_least_one,
     vacuum_probability,
@@ -64,7 +62,6 @@ from .coherent import (
     classical_nonviolation_suite,
     coherent_ch,
     mixture_ch,
-    mixture_rates,
 )
 from .gaussian import (
     GaussianState,

@@ -68,6 +68,8 @@ def parse_angle(value):
     """Parse an angle given in radians or as a pi fraction like '3pi/8'."""
     if isinstance(value, (int, float)):
         return float(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"cannot parse angle {value!r}")
     match = _PI_FRACTION.match(value)
     if match:
         sign = -1.0 if match.group(1) else 1.0
@@ -85,7 +87,8 @@ def parse_angle(value):
 def _parse_angle_list(values):
     if isinstance(values, str):
         values = [part.strip() for part in values.split(",")]
-    values = list(values)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"angles: expected a list or a string, got {values!r}")
     if len(values) != 4:
         raise ConfigError(f"expected 4 angles, got {len(values)}")
     return detection.AngleSettings(*(parse_angle(v) for v in values))
@@ -103,15 +106,38 @@ def _check_keys(mapping, allowed, context, required=frozenset()):
 def _as_float(value, context):
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{context}: expected a number, got {value!r}") from None
 
 
+def _as_finite(value, context):
+    value = _as_float(value, context)
+    if not math.isfinite(value):
+        raise ConfigError(f"{context} must be finite, got {value!r}")
+    return value
+
+
 def _as_int(value, context):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{context} must be finite, got {value!r}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{context}: expected an integer, got {value!r}") from None
+
+
+def _as_mapping(value, context):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: expected an object, got {value!r}")
+    return value
+
+
+def _as_list(value, context):
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: expected a list, got {value!r}")
+    return value
 
 
 def _complex_entry(value, context):
@@ -185,23 +211,39 @@ class ExperimentConfig:
             config.angles = _parse_angle_list(merged["angles"])
         for name in ("cutoff", "seed", "grid", "trials"):
             if name in merged:
-                setattr(config, name, int(merged[name]))
+                setattr(config, name, _as_int(merged[name], name))
         if config.cutoff < 1:
             raise ConfigError("cutoff must be at least 1")
         if config.trials < 0:
             raise ConfigError("trials must not be negative")
         if "out" in merged:
+            if not isinstance(merged["out"], (str, type(None))):
+                raise ConfigError(f"out: expected a path, got {merged['out']!r}")
             config.out = merged["out"]
         if "refine" in merged:
-            config.refine = bool(merged["refine"])
+            if not isinstance(merged["refine"], bool):
+                raise ConfigError(f"refine: expected true or false, got {merged['refine']!r}")
+            config.refine = merged["refine"]
         if "policy" in merged:
-            _check_keys(merged["policy"], _POLICY_KEYS, "policy")
-            config.policy = dataclasses.replace(DEFAULT_POLICY, **merged["policy"])
+            policy = _as_mapping(merged["policy"], "policy")
+            _check_keys(policy, _POLICY_KEYS, "policy")
+            overrides = {}
+            for name, value in policy.items():
+                read = _as_int if name == "max_dimension" else _as_finite
+                overrides[name] = read(value, f"policy {name}")
+            config.policy = dataclasses.replace(DEFAULT_POLICY, **overrides)
         if "sweep" in merged:
-            _check_keys(merged["sweep"], _SWEEP_KEYS, "sweep")
-            config.sweep = dict(DEFAULT_SWEEP, **merged["sweep"])
-            for scenario in config.sweep["scenarios"]:
+            sweep = _as_mapping(merged["sweep"], "sweep")
+            _check_keys(sweep, _SWEEP_KEYS, "sweep")
+            config.sweep = dict(DEFAULT_SWEEP, **sweep)
+            for name in ("u_start", "u_stop", "u_step"):
+                config.sweep[name] = _as_finite(config.sweep[name], f"sweep {name}")
+            for scenario in _as_list(config.sweep["scenarios"], "sweep scenarios"):
                 gaussian.scenario_v(scenario, 0.0)
+            config.sweep["kappas"] = [
+                _as_float(kappa, "sweep kappa")
+                for kappa in _as_list(config.sweep["kappas"], "sweep kappas")
+            ]
         return config
 
 
@@ -318,13 +360,13 @@ def _coherent_amplitudes(spec):
 
 
 def _mixture(spec):
-    weights, components = spec["weights"], spec["components"]
-    if not isinstance(weights, list):
-        raise ConfigError(f"mixture weights: expected a list, got {weights!r}")
-    if not isinstance(components, list):
-        raise ConfigError(f"mixture components: expected a list, got {components!r}")
-    weights = [_as_float(w, "mixture weight") for w in weights]
-    components = [_amplitude_list(row, "mixture component") for row in components]
+    weights = [
+        _as_float(w, "mixture weight") for w in _as_list(spec["weights"], "mixture weights")
+    ]
+    components = [
+        _amplitude_list(row, "mixture component")
+        for row in _as_list(spec["components"], "mixture components")
+    ]
     return coherent.ClassicalMixture(np.asarray(weights), np.asarray(components))
 
 
@@ -526,9 +568,7 @@ def cmd_scan(config):
     state = build_state(config, engine)
     if isinstance(state, coherent.CoherentAmplitudes):
         state = coherent.ClassicalMixture(np.ones(1), state.z.reshape(1, 4))
-    result = detection.angle_scan(
-        state, grid_density=config.grid, refine=config.refine, policy=config.policy
-    )
+    result = detection.angle_scan(state, grid_density=config.grid, refine=config.refine)
     best = result.angles
     print(
         "best angles: theta1=%.6f theta2=%.6f theta1'=%.6f theta2'=%.6f"

@@ -63,16 +63,6 @@ def coincidence_probability(z, theta1, theta2):
     )
 
 
-def coincidence_rates(z, theta1, theta2):
-    """The four rates at one angle pair, from the closed forms."""
-    return detection.FourRates(
-        p_tt=coincidence_probability(z, theta1, theta2),
-        p_t_any=coincidence_probability(z, theta1, None),
-        p_any_t=coincidence_probability(z, None, theta2),
-        p_any_any=coincidence_probability(z, None, None),
-    )
-
-
 def coherent_ch(z, angles, policy=DEFAULT_POLICY):
     """CH report for a single coherent state, from the closed forms."""
     z = _as_amplitudes(z)
@@ -115,16 +105,6 @@ def mixture_probability(mixture, theta1, theta2):
             * _beam_factor(z, theta2, detection.BEAM_TWO)
         )
     return total
-
-
-def mixture_rates(mixture, theta1, theta2):
-    """Weight-averaged four rates of a classical mixture."""
-    return detection.FourRates(
-        p_tt=mixture_probability(mixture, theta1, theta2),
-        p_t_any=mixture_probability(mixture, theta1, None),
-        p_any_t=mixture_probability(mixture, None, theta2),
-        p_any_any=mixture_probability(mixture, None, None),
-    )
 
 
 def mixture_ch(mixture, angles, policy=DEFAULT_POLICY):

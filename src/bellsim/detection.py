@@ -69,16 +69,6 @@ class AngleSettings:
 
 
 @dataclass(frozen=True)
-class FourRates:
-    """Joint detection rates with both, one, or no polarizers in place."""
-
-    p_tt: float
-    p_t_any: float
-    p_any_t: float
-    p_any_any: float
-
-
-@dataclass(frozen=True)
 class CoincidenceReport:
     """Every rate entering the CH functional, plus the verdict.
 
@@ -268,17 +258,6 @@ def coincidence_probability(state, theta1, theta2):
     )
 
 
-def coincidence_rates(state, theta1, theta2):
-    """The four rates at one angle pair: both, first-only, second-only, none."""
-    p_tt, p_t_any, p_any_t, p_any_any = _fock_rate_tables(state, [theta1], [theta2])
-    return FourRates(
-        p_tt=float(p_tt[0, 0]),
-        p_t_any=float(p_t_any[0]),
-        p_any_t=float(p_any_t[0]),
-        p_any_any=p_any_any,
-    )
-
-
 def report_from_tables(tables, angles, tail_err=0.0, policy=DEFAULT_POLICY):
     """Build a CoincidenceReport from rate tables on the 2x2 setting grid.
 
@@ -355,16 +334,12 @@ def assemble_report(prob, angles, tail_err=0.0, policy=DEFAULT_POLICY):
     return report_from_tables(tables, angles, tail_err, policy)
 
 
-def _blocks_report(beam_blocks, angles, tail_err, policy):
-    if not isinstance(angles, AngleSettings):
-        angles = AngleSettings(*angles)
-    tables = _block_rate_tables(beam_blocks, *angles.beam_grids())
-    return report_from_tables(tables, angles, tail_err, policy)
-
-
 def ch_functional(state, angles, policy=DEFAULT_POLICY):
     """Evaluate the CH functional on a Fock-engine state."""
-    return _blocks_report(_beam_blocks(state), angles, state.truncation_tail, policy)
+    if not isinstance(angles, AngleSettings):
+        angles = AngleSettings(*angles)
+    tables = _fock_rate_tables(state, *angles.beam_grids())
+    return report_from_tables(tables, angles, state.truncation_tail, policy)
 
 
 @dataclass(frozen=True)
@@ -429,40 +404,63 @@ def scan_angle_tables(p_tt, p_t_any, p_any_t, p_any_any, thetas):
     return best, grid_max
 
 
-def _f_value(evaluate, angles):
-    report = evaluate(AngleSettings(*angles))
-    return report.f
+REFINE_MIN_STEP = 1e-8
+REFINE_MAX_STEPS = 200
 
 
-def _refine(evaluate, start, grid_f):
-    # imported here: only --refine needs scipy.optimize, and it is slow to load
-    from scipy import optimize
+def _refine(tables, start, grid_f, step):
+    """Polish a grid maximum by a shrinking compass scan on the rate tables.
 
-    result = optimize.minimize(
-        lambda x: -_f_value(evaluate, x),
-        x0=np.asarray(start, dtype=float),
-        method="Nelder-Mead",
-        options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 600},
-    )
-    refined_f = -float(result.fun)
-    if refined_f > grid_f:
-        return tuple(float(a) for a in result.x), refined_f
-    return start, grid_f
+    ``tables(thetas)`` returns an engine's four rate tables on the grid
+    thetas x thetas. Each step evaluates it once on the union of
+    {c - h, c, c + h} over the four angles c of a centre point, at most 12
+    angles, and takes the maximum of f over that small grid with
+    :func:`scan_angle_tables`. The best point moves there when it beats
+    the current f by more than SCAN_TIE_TOL. The next centre is then one
+    more such displacement ahead (a Hooke-Jeeves pattern move), so the
+    scan speeds up along a ridge that no compass direction follows; when
+    a centre ahead finds nothing better the scan explores around the best
+    point again, and when that finds nothing either h is halved. The scan
+    stops once h < REFINE_MIN_STEP or after REFINE_MAX_STEPS evaluations.
+
+    Returns (angles, f) with f the value of the tables at the angles; the
+    grid point and grid_f come back unchanged when no step beats them.
+    """
+    angles, best_f = np.asarray(start, dtype=np.float64), grid_f
+    centre = angles
+    for _ in range(REFINE_MAX_STEPS):
+        if step < REFINE_MIN_STEP:
+            break
+        # angles stay unwrapped so that a displacement is a plain difference;
+        # the tables are pi-periodic and AngleSettings folds the result
+        thetas = np.unique(np.add.outer(centre, (-step, 0.0, step)))
+        candidate, candidate_f = scan_angle_tables(*tables(thetas), thetas)
+        if candidate_f > best_f + SCAN_TIE_TOL:
+            candidate = np.asarray(candidate)
+            centre = 2.0 * candidate - angles
+            angles, best_f = candidate, candidate_f
+        elif not np.array_equal(centre, angles):
+            centre = angles
+        else:
+            step /= 2.0
+    return tuple(float(a) for a in angles), best_f
 
 
-def angle_scan(state, grid_density=16, refine=False, policy=DEFAULT_POLICY):
+def angle_scan(state, grid_density=16, refine=False):
     """Search polarizer angles maximizing the CH functional for a state.
 
     Scans an exhaustive grid of the four angles over [0, pi), then
-    optionally polishes the best grid point with a derivative-free simplex.
-    Dispatches on the state type: Fock states directly, Gaussian states and
-    classical mixtures through their engines.
+    optionally polishes the best grid point with a shrinking compass scan
+    (see :func:`_refine`). Both evaluate the same rate tables, picked by
+    state type: Fock states directly, Gaussian states and classical
+    mixtures through their engines.
 
     Args:
         state: OccupationState, DensityOperator, GaussianState or
             ClassicalMixture.
         grid_density: points per angle axis (at least 2).
-        refine: run a Nelder-Mead polish from the best grid point.
+        refine: polish the best grid point, starting with the grid spacing
+            as the step.
 
     Returns:
         ScanResult with canonicalized best angles.
@@ -473,25 +471,21 @@ def angle_scan(state, grid_density=16, refine=False, policy=DEFAULT_POLICY):
 
     if isinstance(state, (OccupationState, DensityOperator)):
         beam_blocks = _beam_blocks(state)
-        tables = _block_rate_tables(beam_blocks, thetas, thetas)
-        tail = state.truncation_tail
-        evaluate = lambda a: _blocks_report(beam_blocks, a, tail, policy)
+        tables = lambda t: _block_rate_tables(beam_blocks, t, t)
     else:
         from . import coherent, gaussian
 
         if isinstance(state, gaussian.GaussianState):
-            tables = gaussian.scan_tables(state, thetas)
-            evaluate = lambda a: gaussian.gaussian_ch(state, a, policy)
+            tables = lambda t: gaussian.scan_tables(state, t)
         elif isinstance(state, coherent.ClassicalMixture):
-            tables = coherent.scan_tables(state, thetas)
-            evaluate = lambda a: coherent.mixture_ch(state, a, policy)
+            tables = lambda t: coherent.scan_tables(state, t)
         else:
             raise TypeError(f"cannot scan angles for {type(state).__name__}")
 
-    best, grid_f = scan_angle_tables(*tables, thetas)
+    best, grid_f = scan_angle_tables(*tables(thetas), thetas)
     angles, best_f = (best, grid_f)
     if refine:
-        angles, best_f = _refine(evaluate, best, grid_f)
+        angles, best_f = _refine(tables, best, grid_f, math.pi / grid_density)
     return ScanResult(
         angles=AngleSettings(*angles),
         f=best_f,

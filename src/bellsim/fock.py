@@ -179,13 +179,6 @@ class DensityOperator:
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
-    def check_positive(self, policy=None):
-        policy = policy or self.policy
-        low = self.min_eigenvalue()
-        if low < -policy.psd_tol:
-            raise ValueError(f"density operator has eigenvalue {low:.3e} below 0")
-        return low
-
     def purity(self):
         return float(np.real(np.sum(self.matrix * self.matrix.T)))
 

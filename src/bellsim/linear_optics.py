@@ -25,10 +25,6 @@ class MixerOp:
     modes: tuple
     matrix: np.ndarray = field(repr=False)
 
-    @property
-    def angle(self):
-        return math.atan2(abs(self.matrix[0, 1]), abs(self.matrix[0, 0]))
-
 
 @dataclass(frozen=True)
 class PhaseOp:

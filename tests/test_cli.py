@@ -2,6 +2,11 @@
 
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,20 +498,89 @@ def test_malformed_state_shapes_are_errors(spec, tmp_path, capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
-def test_importing_the_cli_does_not_load_scipy_optimize():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def source_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_importing_the_cli_does_not_load_scipy_optimize():
     probe = (
         "import sys, bellsim.cli; "
         "print('scipy.optimize' in sys.modules, 'concurrent.futures' in sys.modules)"
     )
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=source_env(), capture_output=True, text=True,
+        check=True,
     )
     assert done.stdout.split() == ["False", "False"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"cutoff": [3]},
+        {"cutoff": float("nan")},
+        {"cutoff": float("inf")},
+        {"cutoff": 3.7},
+        {"refine": "false"},
+        {"seed": {"value": 1}},
+        {"policy": 5},
+        {"policy": {"verdict_tol": "tight"}},
+        {"policy": {"verdict_tol": float("nan")}},
+        {"policy": {"max_dimension": [10]}},
+        {"sweep": 5},
+        {"sweep": {"scenarios": 5}},
+        {"sweep": {"kappas": 0.9}},
+        {"sweep": {"kappas": [[0.9]]}},
+        {"sweep": {"u_step": float("nan")}},
+        {"angles": 5},
+        {"angles": [0, 0, 0, [1]]},
+        {"out": 5},
+    ],
+    ids=lambda config: json.dumps(config),
+)
+def test_malformed_config_shapes_are_errors(config, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    argv = ["run", "--config", str(path), "--state", "two_photon"]
+    if "angles" not in config:
+        argv += ["--angles", "0,0,0,0"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    cutoff = config.get("cutoff")
+    if isinstance(cutoff, float) and not math.isfinite(cutoff):
+        assert "must be finite" in err
+
+
+def test_commands_run_without_scipy():
+    squeezed = json.dumps({"kind": "squeezed_thermal", "u": 0.4, "v": 0.35, "kappa": 0.9})
+    commands = [
+        ["scan", "--state", "two_photon", "--grid", "8", "--refine"],
+        ["scan", "--state", squeezed, "--grid", "8", "--refine"],
+        ["scan", "--state", json.dumps(MIXTURE), "--grid", "6", "--refine"],
+        ["sweep"],
+        ["validate", "--trials", "5"],
+    ]
+    probe = (
+        "import json, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'scipy' or name.startswith('scipy.'):\n"
+        "            raise ImportError(name + ' is blocked')\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
+        "from bellsim import cli\n"
+        "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes), file=sys.stderr)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(commands)],
+        env=source_env(), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stderr.strip().splitlines()[-1]) == [0] * len(commands)
+    assert "refined f = 0.207106781187" in done.stdout

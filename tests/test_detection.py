@@ -99,11 +99,11 @@ def test_rates_match_dense_reference_on_a_messy_state():
 
 def test_four_rates_consistency():
     state = fock.two_photon_state()
-    r = detection.coincidence_rates(state, 0.7, 1.1)
-    assert 0.0 <= r.p_tt <= r.p_t_any + 1e-12
-    assert r.p_tt <= r.p_any_t + 1e-12
-    assert r.p_any_any <= 1.0 + 1e-12
-    assert abs(r.p_any_any - 1.0) < 1e-12
+    p_tt, p_t_any, p_any_t, p_any_any = detection._fock_rate_tables(state, [0.7], [1.1])
+    assert 0.0 <= p_tt[0, 0] <= p_t_any[0] + 1e-12
+    assert p_tt[0, 0] <= p_any_t[0] + 1e-12
+    assert p_any_any <= 1.0 + 1e-12
+    assert abs(p_any_any - 1.0) < 1e-12
 
 
 def test_reduction_to_photon_counting_for_one_photon_per_beam():
