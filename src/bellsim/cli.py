@@ -104,6 +104,9 @@ def _check_keys(mapping, allowed, context, required=frozenset()):
 
 
 def _as_float(value, context):
+    # JSON true/false and numeric strings are wrong shapes, not numbers
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{context}: expected a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
@@ -118,6 +121,8 @@ def _as_finite(value, context):
 
 
 def _as_int(value, context):
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{context} must be finite, got {value!r}")
     if isinstance(value, float) and not value.is_integer():
@@ -142,7 +147,7 @@ def _as_list(value, context):
 
 def _complex_entry(value, context):
     """Read one amplitude given as a number or a [re, im] pair."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(value, 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_as_float(value[0], context), _as_float(value[1], context))

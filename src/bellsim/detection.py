@@ -408,18 +408,41 @@ REFINE_MIN_STEP = 1e-8
 REFINE_MAX_STEPS = 200
 
 
+def _compass_step(tables, centre, step):
+    """Best of the 3^4 settings centre + {-h, 0, h}^4 from one table evaluation.
+
+    The tables are evaluated once on the union of the four angles'
+    neighbourhoods, at most 12 angles. Only settings that keep each angle
+    in its own neighbourhood are compared: the other combinations of the
+    12 angles jump to distant settings, which turns the polish into a
+    random restart and loses the grid maximum's basin.
+    """
+    points = np.add.outer(centre, (-step, 0.0, step))  # [angle, offset]
+    thetas = np.unique(points)
+    a, t, s, _ = tables(thetas)
+    i, j, k, l = (np.searchsorted(thetas, p) for p in points)
+    # f = [A_ij - A_il] + [A_kj + A_kl - t_k] - s_j over the (i, j, k, l) stencil
+    f = (
+        (a[np.ix_(i, j)][:, :, None, None] - a[np.ix_(i, l)][:, None, None, :])
+        + ((a[np.ix_(k, j)].T[None, :, :, None] + a[np.ix_(k, l)][None, None, :, :])
+           - t[k][None, None, :, None])
+        - s[j][None, :, None, None]
+    )
+    best = np.unravel_index(int(np.argmax(f)), f.shape)
+    return points[np.arange(4), best], float(f[best])
+
+
 def _refine(tables, start, grid_f, step):
     """Polish a grid maximum by a shrinking compass scan on the rate tables.
 
     ``tables(thetas)`` returns an engine's four rate tables on the grid
-    thetas x thetas. Each step evaluates it once on the union of
-    {c - h, c, c + h} over the four angles c of a centre point, at most 12
-    angles, and takes the maximum of f over that small grid with
-    :func:`scan_angle_tables`. The best point moves there when it beats
-    the current f by more than SCAN_TIE_TOL. The next centre is then one
-    more such displacement ahead (a Hooke-Jeeves pattern move), so the
-    scan speeds up along a ridge that no compass direction follows; when
-    a centre ahead finds nothing better the scan explores around the best
+    thetas x thetas. Each step takes the best of the 3^4 settings around a
+    centre point, each angle moved by -h, 0 or +h (see
+    :func:`_compass_step`). The best point moves there when it beats the
+    current f by more than SCAN_TIE_TOL. The next centre is then one more
+    such displacement ahead (a Hooke-Jeeves pattern move), so the scan
+    speeds up along a ridge that no compass direction follows; when a
+    centre ahead finds nothing better the scan explores around the best
     point again, and when that finds nothing either h is halved. The scan
     stops once h < REFINE_MIN_STEP or after REFINE_MAX_STEPS evaluations.
 
@@ -433,10 +456,8 @@ def _refine(tables, start, grid_f, step):
             break
         # angles stay unwrapped so that a displacement is a plain difference;
         # the tables are pi-periodic and AngleSettings folds the result
-        thetas = np.unique(np.add.outer(centre, (-step, 0.0, step)))
-        candidate, candidate_f = scan_angle_tables(*tables(thetas), thetas)
+        candidate, candidate_f = _compass_step(tables, centre, step)
         if candidate_f > best_f + SCAN_TIE_TOL:
-            candidate = np.asarray(candidate)
             centre = 2.0 * candidate - angles
             angles, best_f = candidate, candidate_f
         elif not np.array_equal(centre, angles):

@@ -37,7 +37,6 @@ class NumericalPolicy:
 
     hermiticity_tol: float = 1e-10
     trace_tol: float = 1e-10
-    psd_tol: float = 1e-9
     purity_tol: float = 1e-9
     norm_tol: float = 1e-9
     unitarity_tol: float = 1e-10

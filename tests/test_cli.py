@@ -480,6 +480,9 @@ def test_scan_with_the_fock_engine_on_a_mixture_is_an_error(capsys):
         {"kind": "mixture", "weights": [1.0], "components": [[0.3, 0.1, 0.0]]},
         {"kind": "mixture", "weights": [1.0], "components": 7},
         {"kind": "squeezed_thermal", "u": [0.2], "v": 0.1},
+        {"kind": "squeezed_thermal", "u": True, "v": 0.1},
+        {"kind": "squeezed_thermal", "u": 0.2, "v": "0.1"},
+        {"kind": "coherent", "z": [True, 0, 0, 0]},
         {"kind": "file", "occupation": 5},
         {"kind": "file", "amplitudes": [5]},
     ],
@@ -525,17 +528,23 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
         {"cutoff": float("nan")},
         {"cutoff": float("inf")},
         {"cutoff": 3.7},
+        {"cutoff": True},
+        {"cutoff": "3"},
         {"refine": "false"},
         {"seed": {"value": 1}},
         {"policy": 5},
         {"policy": {"verdict_tol": "tight"}},
         {"policy": {"verdict_tol": float("nan")}},
+        {"policy": {"verdict_tol": "1e-9"}},
+        {"policy": {"verdict_tol": False}},
+        {"policy": {"psd_tol": 1e-9}},
         {"policy": {"max_dimension": [10]}},
         {"sweep": 5},
         {"sweep": {"scenarios": 5}},
         {"sweep": {"kappas": 0.9}},
         {"sweep": {"kappas": [[0.9]]}},
         {"sweep": {"u_step": float("nan")}},
+        {"sweep": {"kappas": [True]}},
         {"angles": 5},
         {"angles": [0, 0, 0, [1]]},
         {"out": 5},

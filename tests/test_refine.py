@@ -9,6 +9,7 @@ from scipy import optimize
 from bellsim import coherent, detection, fock, gaussian
 
 TWO_PHOTON_MAX_F = (math.sqrt(2.0) - 1.0) / 2.0
+RIDGE = (0.9188701607920218, 0.990744124281403, 0.883282765641269)
 
 
 def nelder_mead_reference(report, start, grid_f):
@@ -61,6 +62,11 @@ CASES = {
     "fock_c3_seed1": (lambda: fock_case(1, 3), 8),
     "fock_c4_seed2": (lambda: fock_case(2, 4), 8),
     "fock_c4_seed3": (lambda: fock_case(3, 4), 5),
+    # a polish that compares every combination of the 12 step angles, not
+    # just each angle's own neighbours, jumps out of the grid maximum's
+    # basin on these two and ends 3e-3 and 7e-3 below the simplex
+    "fock_c4_seed1053": (lambda: fock_case(1053, 4), 5),
+    "fock_c4_seed51116": (lambda: fock_case(51116, 4), 5),
     "density_c2_seed4": (lambda: density_case(4), 8),
     "squeezed_0.62_0.62_1.0": (lambda: gaussian_case(0.62, 0.62, 1.0), 8),
     "squeezed_0.4_0.35_0.9": (lambda: gaussian_case(0.4, 0.35, 0.9), 8),
@@ -68,10 +74,19 @@ CASES = {
     # its grid-5 maximum starts the polish below a curved ridge that no
     # compass direction follows: without pattern moves the scan creeps
     # along it until the step cap, with a gradient still near 2e-4
-    "squeezed_ridge": (lambda: gaussian_case(0.92, 0.99, 0.883), 5),
+    "squeezed_ridge": (lambda: gaussian_case(*RIDGE), 5),
+    "squeezed_ridge_grid8": (lambda: gaussian_case(*RIDGE), 8),
     "mixture_seed5": (lambda: mixture_case(5), 8),
     "mixture_seed6": (lambda: mixture_case(6), 5),
 }
+
+# The polish is local. On the ridge state, f is nearly flat along opposite
+# rotations of the two beams' polarizers, and two local maxima, 2.6e-5
+# apart, lie half a period apart along that valley. From the grid-8
+# maximum the compass scan climbs to the lower one (f = 0.0489727), the
+# simplex to the higher one (f = 0.0489992); polishing the next best grid
+# points instead, or restarting at the end point, reaches the lower one too.
+KNOWN_SHORTFALLS = {"squeezed_ridge_grid8"}
 
 
 def gradient(report, angles, eps=1e-5):
@@ -83,7 +98,12 @@ def gradient(report, angles, eps=1e-5):
     ])
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, reason="the polish ends at a lower local maximum than the simplex"))
+    if name in KNOWN_SHORTFALLS else name
+    for name in sorted(CASES)
+])
 def test_compass_polish_matches_or_beats_nelder_mead(name):
     build, grid_density = CASES[name]
     state, report = build()
