@@ -48,7 +48,6 @@ from .detection import (
     CoincidenceReport,
     ScanResult,
     angle_scan,
-    assemble_report,
     ch_functional,
     coincidence_probability,
     polarizer_apply,

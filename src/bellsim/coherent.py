@@ -42,33 +42,69 @@ def _as_amplitudes(z):
     return CoherentAmplitudes(np.asarray(z)).z
 
 
-def _beam_factor(z, theta, beam):
-    """Detection probability factor for one beam.
+def _detected(z, beam, thetas):
+    """1 - exp(-|cos(theta) z_i - sin(theta) z_j|^2): [..., component, angle].
 
-    With a polarizer: 1 - exp(-|z_i'|^2) for the transmitted amplitude.
-    Without (theta None): 1 - exp(-|z_i|^2 - |z_j|^2) for the whole beam.
+    The detection probability behind a polarizer at each angle, for
+    amplitudes z[..., component, 4] and angles thetas[..., angle].
     """
     i, j = beam
-    if theta is None:
-        return 1.0 - math.exp(-(abs(z[i]) ** 2 + abs(z[j]) ** 2))
-    zt = math.cos(theta) * z[i] - math.sin(theta) * z[j]
-    return 1.0 - math.exp(-(abs(zt) ** 2))
+    thetas = np.asarray(thetas, dtype=np.float64)[..., None, :]
+    transmitted = np.cos(thetas) * z[..., i, None] - np.sin(thetas) * z[..., j, None]
+    return 1.0 - np.exp(-np.abs(transmitted) ** 2)
+
+
+def _detected_beam(z, beam):
+    """1 - exp(-|z_i|^2 - |z_j|^2): the whole beam watched, no polarizer."""
+    i, j = beam
+    return 1.0 - np.exp(-(np.abs(z[..., i]) ** 2 + np.abs(z[..., j]) ** 2))
+
+
+def rate_tables(weights, components, thetas1, thetas2):
+    """Rate tables over the grid thetas1 x thetas2 for mixtures of coherent states.
+
+    ``weights[..., c]`` and ``components[..., c, 4]`` hold one mixture or a
+    stack of them; a zero weight pads a mixture with fewer components.
+    ``thetas1[..., i]`` and ``thetas2[..., j]`` are shared by the stack or
+    carry its leading axes. Returns (p_tt[..., i, j], p_t_any[..., i],
+    p_any_t[..., j], p_any_any[...]), the shape of the other engines' tables.
+
+    A coherent state's beams are independent, so each rate is the product
+    of one detection probability per beam, and a mixture's rate is the
+    weight average of its components' rates.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    z = np.asarray(components, dtype=np.complex128)
+    left = _detected(z, detection.BEAM_ONE, thetas1)
+    right = _detected(z, detection.BEAM_TWO, thetas2)
+    left_any = _detected_beam(z, detection.BEAM_ONE)
+    right_any = _detected_beam(z, detection.BEAM_TWO)
+    weighted_left = w[..., None] * left
+    p_tt = np.swapaxes(weighted_left, -1, -2) @ right
+    p_t_any = np.sum(weighted_left * right_any[..., None], axis=-2)
+    p_any_t = np.sum((w * left_any)[..., None] * right, axis=-2)
+    p_any_any = np.sum(w * left_any * right_any, axis=-1)
+    return p_tt, p_t_any, p_any_t, p_any_any
+
+
+def _report(weights, components, angles, policy):
+    if not isinstance(angles, detection.AngleSettings):
+        angles = detection.AngleSettings(*angles)
+    tables = rate_tables(weights, components, *angles.beam_grids())
+    return detection.report_from_tables(tables, angles, 0.0, policy)
 
 
 def coincidence_probability(z, theta1, theta2):
     """Joint rate P(theta1, theta2) of a coherent state; None removes a polarizer."""
     z = _as_amplitudes(z)
-    return _beam_factor(z, theta1, detection.BEAM_ONE) * _beam_factor(
-        z, theta2, detection.BEAM_TWO
+    return detection.single_rate(
+        lambda t1, t2: rate_tables(np.ones(1), z[None], t1, t2), theta1, theta2
     )
 
 
 def coherent_ch(z, angles, policy=DEFAULT_POLICY):
     """CH report for a single coherent state, from the closed forms."""
-    z = _as_amplitudes(z)
-    return detection.assemble_report(
-        lambda t1, t2: coincidence_probability(z, t1, t2), angles, 0.0, policy
-    )
+    return _report(np.ones(1), _as_amplitudes(z)[None], angles, policy)
 
 
 @dataclass(frozen=True)
@@ -97,42 +133,14 @@ class ClassicalMixture:
         return ClassicalMixture(self.weights, self.components @ np.asarray(matrix).T)
 
 
-def mixture_probability(mixture, theta1, theta2):
-    total = 0.0
-    for w, z in zip(mixture.weights, mixture.components):
-        total += w * (
-            _beam_factor(z, theta1, detection.BEAM_ONE)
-            * _beam_factor(z, theta2, detection.BEAM_TWO)
-        )
-    return total
-
-
 def mixture_ch(mixture, angles, policy=DEFAULT_POLICY):
-    return detection.assemble_report(
-        lambda t1, t2: mixture_probability(mixture, t1, t2), angles, 0.0, policy
-    )
+    """CH report for a classical mixture, from the closed forms."""
+    return _report(mixture.weights, mixture.components, angles, policy)
 
 
 def scan_tables(mixture, thetas):
     """Rate tables over an angle grid, for the shared scan core."""
-    n = len(thetas)
-    w = mixture.weights
-    comps = mixture.components
-    left = np.empty((w.size, n))
-    right = np.empty((w.size, n))
-    left_any = np.empty(w.size)
-    right_any = np.empty(w.size)
-    for c, z in enumerate(comps):
-        left_any[c] = _beam_factor(z, None, detection.BEAM_ONE)
-        right_any[c] = _beam_factor(z, None, detection.BEAM_TWO)
-        for k, t in enumerate(thetas):
-            left[c, k] = _beam_factor(z, t, detection.BEAM_ONE)
-            right[c, k] = _beam_factor(z, t, detection.BEAM_TWO)
-    p_tt = np.einsum("c,ci,cj->ij", w, left, right)
-    p_t_any = (w * right_any) @ left
-    p_any_t = (w * left_any) @ right
-    p_any_any = float(np.sum(w * left_any * right_any))
-    return p_tt, p_t_any, p_any_t, p_any_any
+    return rate_tables(mixture.weights, mixture.components, thetas, thetas)
 
 
 def mixture_fock_report(mixture, angles, cutoff, policy=DEFAULT_POLICY):
@@ -180,18 +188,34 @@ def random_mixture(rng, max_components=5, amplitude_scale=2.0):
 
 def haar_unitary(rng, n=4):
     """Haar-distributed U(n) via QR of a complex Gaussian matrix."""
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return _haar_from_gaussian(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+
+def _haar_from_gaussian(m):
+    """Unitaries from complex Gaussian matrices m[..., n, n]: Q of the QR, phase-fixed.
+
+    Multiplying each column of Q by the conjugate phase of R's diagonal
+    makes the result Haar-distributed rather than biased by the QR
+    convention.
+    """
     q, r = np.linalg.qr(m)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r))).conj()
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal)).conj()[..., None, :]
+
+
+def _trial_draws(seed, trial, amplitude_scale):
+    """The seeded draws of one trial, in order: mixture, Gaussian matrix, angles."""
+    rng = np.random.default_rng([seed, trial])
+    mixture = random_mixture(rng, amplitude_scale=amplitude_scale)
+    normal = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    angles = detection.AngleSettings(*rng.uniform(0.0, math.pi, size=4))
+    return mixture, normal, angles
 
 
 def nonviolation_trial(seed, trial, policy=DEFAULT_POLICY, amplitude_scale=2.0):
     """One seeded trial: random mixture, random U(4), random angles."""
-    rng = np.random.default_rng([seed, trial])
-    mixture = random_mixture(rng, amplitude_scale=amplitude_scale)
-    mixture = mixture.transformed(haar_unitary(rng))
-    angles = detection.AngleSettings(*rng.uniform(0.0, math.pi, size=4))
-    return mixture_ch(mixture, angles, policy)
+    mixture, normal, angles = _trial_draws(seed, trial, amplitude_scale)
+    return mixture_ch(mixture.transformed(_haar_from_gaussian(normal)), angles, policy)
 
 
 def classical_nonviolation_suite(
@@ -201,25 +225,44 @@ def classical_nonviolation_suite(
 
     Each trial draws a random mixture, scrambles it with a Haar-random
     passive U(4), draws four random angles, and evaluates the CH report
-    with the closed forms. A failing trial's (seed, trial) pair is
-    reported so it can be replayed.
+    with the closed forms. Trial t draws exactly what
+    ``nonviolation_trial(seed, t)`` draws, so a failing trial's
+    (seed, trial) pair is reported and can be replayed. The trials are
+    evaluated as one stack: their mixtures padded with zero weights to a
+    common length, one QR and one table evaluation for all of them.
     """
+    draws = [_trial_draws(seed, trial, amplitude_scale) for trial in range(trials)]
+    if not draws:
+        return SuiteReport(trials, 0, 0.0, 0.0, None)
+    width = max(mixture.weights.size for mixture, _, _ in draws)
+    weights = np.zeros((len(draws), width))
+    components = np.zeros((len(draws), width, 4), dtype=np.complex128)
+    for t, (mixture, _, _) in enumerate(draws):
+        weights[t, : mixture.weights.size] = mixture.weights
+        components[t, : mixture.weights.size] = mixture.components
+    unitaries = _haar_from_gaussian(np.array([normal for _, normal, _ in draws]))
+    components = components @ np.swapaxes(unitaries, -1, -2)
+    grids = np.array([angles.beam_grids() for _, _, angles in draws])
+    tables = rate_tables(weights, components, grids[:, 0], grids[:, 1])
+
     worst_f = -math.inf
     worst_lower = math.inf
     violations = 0
     failing = None
-    for trial in range(trials):
-        report = nonviolation_trial(seed, trial, policy, amplitude_scale)
+    for t, (_, _, angles) in enumerate(draws):
+        report = detection.report_from_tables(
+            tuple(table[t] for table in tables), angles, 0.0, policy
+        )
         worst_f = max(worst_f, report.f)
         worst_lower = min(worst_lower, report.lower_margin)
         if report.verdict == detection.VIOLATED:
             violations += 1
             if failing is None:
-                failing = (seed, trial)
+                failing = (seed, t)
     return SuiteReport(
         trials=trials,
         violations=violations,
-        worst_f=worst_f if trials else 0.0,
-        worst_lower_margin=worst_lower if trials else 0.0,
+        worst_f=worst_f,
+        worst_lower_margin=worst_lower,
         failing_seed=failing,
     )

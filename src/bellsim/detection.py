@@ -316,24 +316,6 @@ def report_from_tables(tables, angles, tail_err=0.0, policy=DEFAULT_POLICY):
     )
 
 
-def assemble_report(prob, angles, tail_err=0.0, policy=DEFAULT_POLICY):
-    """Build a CoincidenceReport from a joint-rate callable.
-
-    ``prob(theta1, theta2)`` must accept None for a removed polarizer; it
-    is evaluated at the eight settings the CH functional needs.
-    """
-    if not isinstance(angles, AngleSettings):
-        angles = AngleSettings(*angles)
-    t1, t2, t1a, t2a = angles.as_tuple()
-    tables = (
-        np.array([[prob(t1, t2), prob(t1, t2a)], [prob(t1a, t2), prob(t1a, t2a)]]),
-        np.array([prob(t1, None), prob(t1a, None)]),
-        np.array([prob(None, t2)]),
-        prob(None, None),
-    )
-    return report_from_tables(tables, angles, tail_err, policy)
-
-
 def ch_functional(state, angles, policy=DEFAULT_POLICY):
     """Evaluate the CH functional on a Fock-engine state."""
     if not isinstance(angles, AngleSettings):

@@ -16,14 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection
-from .fock import vacuum_state
-from .linear_optics import (
-    apply_passive,
-    apply_single_mode_squeeze,
-    beam_wiring,
-    check_unitary,
-    entangling_unitary,
-)
+from .fock import OccupationState, enumerate_basis
+from .linear_optics import beam_wiring, check_unitary, entangling_unitary
 from .policy import DEFAULT_POLICY
 
 
@@ -281,20 +275,73 @@ def scan_tables(state, thetas):
     return rate_tables(_four_mode_variance(state), thetas, thetas)
 
 
-def fock_equivalent_state(spec, cutoff, policy=DEFAULT_POLICY):
-    """Fock-engine replica of a pure squeezed thermal state.
+def _coupled_beam_blocks(coupling, top):
+    """Blocks F[N, k, l] of exp(a^T C b)|0>, for N = 0..top.
 
-    Only kappa = 1 has a pure-state replica: squeeze each mode of the
-    vacuum by the S scalings, then apply the entangling mixer. The
-    returned state carries the truncation tail of the squeezes.
+    a = (a_0^dag, a_1^dag) and b = (a_2^dag, a_3^dag) create photons in
+    beam one and beam two, and F[N, k, l] is the amplitude of
+    |k, N - k, l, N - l>. The term (a^T C b)^N / N! of the exponential
+    holds the N-photon block, and expanding it gives
+
+        F[N, k, l] = sqrt(k! (N-k)! l! (N-l)!) sum_p C00^p C01^(k-p)
+                     C10^(l-p) C11^(N-k-l+p) / (p! (k-p)! (l-p)! (N-k-l+p)!).
+
+    The same numbers come from multiplying block N - 1 by a^T C b / N,
+    one creation operator per beam: a recurrence over the four entries of
+    C that forms no factorial, so it cannot overflow at large N.
+    """
+    side = top + 1
+    blocks = np.zeros((side, side, side))
+    blocks[0, 0, 0] = 1.0
+    root = np.sqrt(np.arange(side))
+    for n in range(1, side):
+        prev = blocks[n - 1, :n, :n]
+        up = root[1 : n + 1]  # sqrt(k) for the k = 1..n photons after a creation
+        down = root[n:0:-1]  # sqrt(n - k) for k = 0..n - 1
+        block = blocks[n, : n + 1, : n + 1]
+        block[1:, 1:] += coupling[0, 0] * up[:, None] * prev * up[None, :]
+        block[1:, :-1] += coupling[0, 1] * up[:, None] * prev * down[None, :]
+        block[:-1, 1:] += coupling[1, 0] * down[:, None] * prev * up[None, :]
+        block[:-1, :-1] += coupling[1, 1] * down[:, None] * prev * down[None, :]
+        block /= n
+    return blocks
+
+
+def fock_equivalent_state(spec, cutoff, policy=DEFAULT_POLICY):
+    """Fock-engine replica of a pure squeezed thermal state, in closed form.
+
+    Only kappa = 1 has a pure-state replica: the vacuum squeezed mode by
+    mode by the S scalings w, then sent through the beam-wired entangling
+    mixer M. In creation operators that is
+
+        prod_m cosh(w_m)^(-1/2) exp(1/2 a^T A a)|0>,  A = M diag(-tanh w) M^T.
+
+    A has no entries inside a beam, so the exponent is a^T C b with the
+    beam coupling C = A[:2, 2:] = [[t_u - t_v, t_u + t_v], [t_u + t_v,
+    t_u - t_v]] / 2, t = tanh; every amplitude sits on a state
+    |k, N - k, l, N - l> with 2N <= cutoff (see :func:`_coupled_beam_blocks`).
+    The returned state carries the weight past the cutoff as its tail.
     """
     if spec.kappa != 1.0:
         raise ValueError("only pure (kappa = 1) states have a Fock replica")
-    state = vacuum_state(4, cutoff, policy)
-    for mode, w in enumerate(_squeeze_q_exponents(spec.u, spec.v)):
-        if w != 0.0:
-            state = apply_single_mode_squeeze(state, mode, float(w), policy)
-    return apply_passive(state, beam_wiring() @ entangling_unitary().T, policy)
+    basis = enumerate_basis(4, cutoff, policy)
+    w = _squeeze_q_exponents(spec.u, spec.v)
+    for exponent in w.tolist():
+        if exponent != 0.0 and abs(exponent) > policy.squeeze_limit:
+            raise ValueError(
+                f"|u| = {abs(exponent)} exceeds the limit {policy.squeeze_limit}"
+            )
+    mixer = (beam_wiring() @ entangling_unitary().T).real
+    coupling = (mixer * -np.tanh(w)) @ mixer.T
+    blocks = _coupled_beam_blocks(coupling[:2, 2:], cutoff // 2)
+    occ = basis.occupations
+    beam_one, beam_two = occ[:, 0] + occ[:, 1], occ[:, 2] + occ[:, 3]
+    on_block = beam_one == beam_two
+    amplitudes = np.zeros(basis.size, dtype=np.complex128)
+    amplitudes[on_block] = blocks[beam_one[on_block], occ[on_block, 0], occ[on_block, 2]]
+    amplitudes *= np.prod(np.cosh(w)) ** -0.5
+    kept = float(np.sum(amplitudes.real**2))
+    return OccupationState(basis, amplitudes, max(0.0, 1.0 - kept))
 
 
 SWEEP_SCENARIOS = ("equal", "zero", "opposite")

@@ -37,8 +37,6 @@ class NumericalPolicy:
 
     hermiticity_tol: float = 1e-10
     trace_tol: float = 1e-10
-    purity_tol: float = 1e-9
-    norm_tol: float = 1e-9
     unitarity_tol: float = 1e-10
     imag_tol: float = 1e-10
     coherent_tail_tol: float = 1e-8

@@ -538,6 +538,8 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
         {"policy": {"verdict_tol": "1e-9"}},
         {"policy": {"verdict_tol": False}},
         {"policy": {"psd_tol": 1e-9}},
+        {"policy": {"purity_tol": 1e-9}},
+        {"policy": {"norm_tol": 1e-9}},
         {"policy": {"max_dimension": [10]}},
         {"sweep": 5},
         {"sweep": {"scenarios": 5}},
@@ -564,6 +566,23 @@ def test_malformed_config_shapes_are_errors(config, tmp_path, capsys):
     cutoff = config.get("cutoff")
     if isinstance(cutoff, float) and not math.isfinite(cutoff):
         assert "must be finite" in err
+
+
+SQUEEZED = {"kind": "squeezed_thermal", "u": 0.4, "v": 0.35, "kappa": 1.0}
+
+
+@pytest.mark.parametrize("engine", ["fock", "both"])
+def test_replica_limits_are_error_lines(engine, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"state": SQUEEZED, "policy": {"squeeze_limit": 0.1}}))
+    base = ["run", "--engine", engine, "--angles", "0.39,0.79,1.18,0"]
+    code, out, err = run_cli(base + ["--config", str(path)], capsys)
+    assert code == 1
+    assert err == "error: |u| = 0.4 exceeds the limit 0.1\n"
+    code, out, err = run_cli(base + ["--state", json.dumps(SQUEEZED), "--cutoff", "200"], capsys)
+    assert code == 1
+    assert err.startswith("error: basis dimension ") and " exceeds " in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_commands_run_without_scipy():

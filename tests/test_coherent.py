@@ -1,5 +1,7 @@
 """Tests for the closed-form coherent rates and the classical mixtures."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,13 +56,29 @@ def test_single_component_mixture_equals_coherent():
     assert abs(a.f - b.f) < 1e-15
 
 
+def pointwise_rate(mixture, theta1, theta2):
+    """The closed-form joint rate of a mixture, one component and one beam at a time."""
+    def beam(z, theta, i, j):
+        if theta is None:
+            return 1.0 - math.exp(-(abs(z[i]) ** 2 + abs(z[j]) ** 2))
+        zt = math.cos(theta) * z[i] - math.sin(theta) * z[j]
+        return 1.0 - math.exp(-(abs(zt) ** 2))
+
+    return sum(
+        w * beam(z, theta1, 0, 1) * beam(z, theta2, 2, 3)
+        for w, z in zip(mixture.weights, mixture.components)
+    )
+
+
 def test_mixture_rates_are_convex_combinations():
     rng = np.random.default_rng(61)
     z1 = rng.normal(size=4) + 0j
     z2 = rng.normal(size=4) + 0j
     mix = coherent.ClassicalMixture(np.array([0.3, 0.7]), [z1, z2])
     for t1, t2 in [(0.2, 0.9), (1.3, None)]:
-        got = coherent.mixture_probability(mix, t1, t2)
+        got = detection.single_rate(
+            lambda a, b: coherent.rate_tables(mix.weights, mix.components, a, b), t1, t2
+        )
         want = 0.3 * coherent.coincidence_probability(
             coherent.CoherentAmplitudes(z1), t1, t2
         ) + 0.7 * coherent.coincidence_probability(
@@ -126,6 +144,45 @@ def test_classical_suite_small_run():
     assert report.worst_lower_margin >= -1e-12
 
 
+def reference_trial(seed, trial):
+    """Trial ``trial`` of the suite, replayed from its recipe with pointwise rates."""
+    rng = np.random.default_rng([seed, trial])
+    mixture = coherent.random_mixture(rng).transformed(coherent.haar_unitary(rng))
+    angles = AngleSettings(*rng.uniform(0.0, np.pi, size=4))
+    t1, t2, t1a, t2a = angles.as_tuple()
+
+    def rate(a, b):
+        return pointwise_rate(mixture, a, b)
+
+    tables = (
+        np.array([[rate(t1, t2), rate(t1, t2a)], [rate(t1a, t2), rate(t1a, t2a)]]),
+        np.array([rate(t1, None), rate(t1a, None)]),
+        np.array([rate(None, t2)]),
+        rate(None, None),
+    )
+    return detection.report_from_tables(tables, angles)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+@pytest.mark.parametrize("trials", [0, 1, 5, 300])
+def test_stacked_suite_matches_the_per_trial_loop(seed, trials):
+    suite = coherent.classical_nonviolation_suite(seed, trials)
+    worst_f, worst_lower, violations, failing = -math.inf, math.inf, 0, None
+    for trial in range(trials):
+        report = reference_trial(seed, trial)
+        assert abs(report.f - coherent.nonviolation_trial(seed, trial).f) <= 1e-15
+        worst_f = max(worst_f, report.f)
+        worst_lower = min(worst_lower, report.lower_margin)
+        if report.verdict == detection.VIOLATED:
+            violations += 1
+            failing = failing or (seed, trial)
+    assert suite.trials == trials
+    assert suite.violations == violations
+    assert suite.failing_seed == failing
+    assert abs(suite.worst_f - (worst_f if trials else 0.0)) <= 1e-15
+    assert abs(suite.worst_lower_margin - (worst_lower if trials else 0.0)) <= 1e-15
+
+
 def test_scan_tables_match_pointwise_rates():
     rng = np.random.default_rng(73)
     mix = coherent.random_mixture(rng)
@@ -134,10 +191,10 @@ def test_scan_tables_match_pointwise_rates():
     assert p_tt.shape == (6, 6)
     for i in (0, 3):
         for j in (1, 4):
-            want = coherent.mixture_probability(mix, thetas[i], thetas[j])
+            want = pointwise_rate(mix, thetas[i], thetas[j])
             assert abs(p_tt[i, j] - want) < 1e-12
-        assert abs(p_t_any[i] - coherent.mixture_probability(mix, thetas[i], None)) < 1e-12
-    assert abs(p_any_any - coherent.mixture_probability(mix, None, None)) < 1e-12
+        assert abs(p_t_any[i] - pointwise_rate(mix, thetas[i], None)) < 1e-12
+    assert abs(p_any_any - pointwise_rate(mix, None, None)) < 1e-12
 
 
 def test_mixture_fock_report_agrees_with_closed_form():

@@ -145,57 +145,43 @@ def test_ch_functional_bunched_pairs_at_pinned_angles():
     assert abs(report.p_any_any - 0.5) < 1e-12
 
 
-def test_assemble_report_classifies_verdicts():
+def fock_report(state, angles, tail_err=0.0):
+    tables = detection._fock_rate_tables(state, *angles.beam_grids())
+    return detection.report_from_tables(tables, angles, tail_err)
+
+
+def constant_tables(value, any_value=None):
+    """Tables holding one rate everywhere, or ``any_value`` where beam two has no polarizer."""
+    off = value if any_value is None else any_value
+    return (np.full((2, 2), value), np.full(2, off), np.full(1, value), off)
+
+
+def test_report_from_tables_classifies_verdicts():
     angles = AngleSettings(0.0, 0.1, 0.2, 0.3)
 
-    def fake(p_map):
-        def prob(t1, t2):
-            return p_map[(t1, t2)]
-
-        return prob
-
     # saturated bounds hold: the vacuum gives f = 0 exactly
-    vac = fock.vacuum_state(4, 2)
-    report = detection.assemble_report(
-        lambda t1, t2: detection.coincidence_probability(vac, t1, t2), angles
-    )
+    report = fock_report(fock.vacuum_state(4, 2), angles)
     assert report.verdict == NOT_VIOLATED
     assert report.f == 0.0
 
     # a clear violation
-    report = detection.assemble_report(
-        lambda t1, t2: detection.coincidence_probability(
-            fock.two_photon_state(), t1, t2
-        ),
-        PINNED,
-    )
+    report = fock_report(fock.two_photon_state(), PINNED)
     assert report.verdict == VIOLATED
     assert report.upper_margin < 0.0
 
     # breaking a bound by less than the error bar stays inconclusive
-    report = detection.assemble_report(
-        lambda t1, t2: detection.coincidence_probability(
-            fock.two_photon_state(), t1, t2
-        ),
-        PINNED,
-        tail_err=1.0,
-    )
+    report = fock_report(fock.two_photon_state(), PINNED, tail_err=1.0)
     assert report.verdict == INCONCLUSIVE
 
 
-def test_assemble_report_rejects_rates_outside_the_unit_interval():
+def test_report_from_tables_rejects_rates_outside_the_unit_interval():
     angles = AngleSettings(0.1, 0.2, 0.3, 0.4)
     with pytest.raises(ValueError):
-        detection.assemble_report(lambda t1, t2: 1.5, angles)
+        detection.report_from_tables(constant_tables(1.5), angles)
 
 
 def test_report_margins_and_fields():
-    report = detection.assemble_report(
-        lambda t1, t2: detection.coincidence_probability(
-            fock.two_photon_state(), t1, t2
-        ),
-        PINNED,
-    )
+    report = fock_report(fock.two_photon_state(), PINNED)
     assert abs(report.upper_margin - (-report.f)) < 1e-15
     assert abs(report.lower_margin - (report.f + report.p_any_any)) < 1e-15
     assert report.angles == PINNED
@@ -234,13 +220,11 @@ def test_angle_settings_reject_non_finite_angles():
             AngleSettings(bad, 0.0, 0.0, 0.0)
 
 
-def test_assemble_report_gives_no_verdict_on_non_finite_numbers():
+def test_report_from_tables_gives_no_verdict_on_non_finite_numbers():
     angles = AngleSettings(0.1, 0.2, 0.3, 0.4)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            detection.assemble_report(lambda t1, t2: bad, angles)
+            detection.report_from_tables(constant_tables(bad), angles)
         # one bad rate among good ones is enough
         with pytest.raises(ValueError):
-            detection.assemble_report(
-                lambda t1, t2: bad if t2 is None else 0.5, angles
-            )
+            detection.report_from_tables(constant_tables(0.5, any_value=bad), angles)

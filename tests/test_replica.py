@@ -1,0 +1,96 @@
+"""The closed-form Fock replica of the squeezed family against the dense recipe."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellsim import DimensionLimitError, NumericalPolicy, fock, gaussian
+from bellsim.gaussian import SqueezedThermalSpec, _squeeze_q_exponents
+from bellsim.linear_optics import (
+    apply_passive,
+    apply_single_mode_squeeze,
+    beam_wiring,
+    entangling_unitary,
+)
+
+
+def dense_replica(spec, cutoff):
+    """The replica built step by step: squeeze each mode of the vacuum, then mix."""
+    state = fock.vacuum_state(4, cutoff)
+    for mode, w in enumerate(_squeeze_q_exponents(spec.u, spec.v)):
+        if w != 0.0:
+            state = apply_single_mode_squeeze(state, mode, float(w))
+    return apply_passive(state, beam_wiring() @ entangling_unitary().T)
+
+
+SQUEEZE = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(u=SQUEEZE, v=SQUEEZE, cutoff=st.integers(min_value=0, max_value=16))
+def test_replica_matches_the_dense_recipe(u, v, cutoff):
+    spec = SqueezedThermalSpec(u, v, 1.0)
+    got = gaussian.fock_equivalent_state(spec, cutoff)
+    want = dense_replica(spec, cutoff)
+    assert got.basis is want.basis
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-13
+    assert abs(got.truncation_tail - want.truncation_tail) < 1e-14
+    assert got.truncation_tail >= 0.0
+
+
+@pytest.mark.parametrize("u, v", [(0.4, 0.35), (0.8, -0.3), (-1.0, 0.2), (0.0, 0.0)])
+def test_the_squeeze_exponent_couples_only_the_beams(u, v):
+    w = _squeeze_q_exponents(u, v)
+    mixer = (beam_wiring() @ entangling_unitary().T).real
+    exponent = mixer @ np.diag(-np.tanh(w)) @ mixer.T
+    assert np.max(np.abs(exponent[:2, :2])) < 1e-16
+    assert np.max(np.abs(exponent[2:, 2:])) < 1e-16
+    tu, tv = math.tanh(u), math.tanh(v)
+    coupling = 0.5 * np.array([[tu - tv, tu + tv], [tu + tv, tu - tv]])
+    assert np.max(np.abs(exponent[:2, 2:] - coupling)) < 1e-16
+
+
+def test_blocks_follow_the_binomial_expansion():
+    # a coupling without the squeezed family's symmetries, so that each
+    # entry of C must meet its own pair of modes
+    c = np.array([[0.3, -0.45], [0.2, 0.6]])
+    top = 6
+    blocks = gaussian._coupled_beam_blocks(c, top)
+    fact = math.factorial
+    for n in range(top + 1):
+        want = np.zeros((top + 1, top + 1))
+        for k in range(n + 1):
+            for l in range(n + 1):
+                want[k, l] = math.sqrt(fact(k) * fact(n - k) * fact(l) * fact(n - l)) * sum(
+                    c[0, 0] ** p * c[0, 1] ** (k - p) * c[1, 0] ** (l - p)
+                    * c[1, 1] ** (n - k - l + p)
+                    / (fact(p) * fact(k - p) * fact(l - p) * fact(n - k - l + p))
+                    for p in range(max(0, k + l - n), min(k, l) + 1)
+                )
+        assert np.max(np.abs(blocks[n] - want)) < 1e-15
+
+
+def test_replica_amplitudes_lie_on_equal_beam_blocks():
+    state = gaussian.fock_equivalent_state(SqueezedThermalSpec(0.5, -0.2, 1.0), 11)
+    occ = state.basis.occupations
+    off_block = occ[:, 0] + occ[:, 1] != occ[:, 2] + occ[:, 3]
+    assert np.all(state.amplitudes[off_block] == 0.0)
+    assert abs(state.norm() ** 2 + state.truncation_tail - 1.0) < 1e-15
+
+
+def test_replica_guards():
+    with pytest.raises(ValueError, match=r"\|u\| = 0.4 exceeds the limit 0.1"):
+        gaussian.fock_equivalent_state(
+            SqueezedThermalSpec(0.4, 0.05, 1.0), 8, NumericalPolicy(squeeze_limit=0.1)
+        )
+    with pytest.raises(ValueError, match=r"\|u\| = 0.3 exceeds the limit 0.1"):
+        gaussian.fock_equivalent_state(
+            SqueezedThermalSpec(0.05, -0.3, 1.0), 8, NumericalPolicy(squeeze_limit=0.1)
+        )
+    with pytest.raises(DimensionLimitError, match="basis dimension"):
+        gaussian.fock_equivalent_state(
+            SqueezedThermalSpec(0.4, 0.3, 1.0), 12, NumericalPolicy(max_dimension=100)
+        )
