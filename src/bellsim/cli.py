@@ -11,8 +11,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
+    # every matrix here is small, and an idle BLAS pool spins on another core
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

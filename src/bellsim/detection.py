@@ -101,11 +101,6 @@ def vacuum_probability(state, modes):
     return float(np.real(np.sum(np.diag(state.matrix)[mask])))
 
 
-def prob_at_least_one(state, modes):
-    """Probability of finding one or more photons among the listed modes."""
-    return 1.0 - vacuum_probability(state, modes)
-
-
 def polarizer_apply(state, theta, policy=DEFAULT_POLICY):
     """Send a two-mode state through a polarizer at angle theta.
 
@@ -294,7 +289,7 @@ def report_from_tables(tables, angles, tail_err=0.0, policy=DEFAULT_POLICY):
     if not (math.isfinite(f) and math.isfinite(tol)):
         raise ValueError(f"f = {f} with error bar {tol} gives no verdict")
     lower_margin = f + rates["p_any_any"]
-    upper_margin = -f
+    upper_margin = 0.0 - f  # a zero f gives +0.0, never -0.0
     # A violation is only claimed when a bound is broken by more than the
     # numerical error bar; a bound broken within the error bar is
     # inconclusive, and saturated bounds count as holding.

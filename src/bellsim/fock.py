@@ -125,11 +125,6 @@ class OccupationState:
             raise ValueError("cannot normalize the zero vector")
         return OccupationState(self.basis, self.amplitudes / n, self.truncation_tail)
 
-    def top_shell_weight(self):
-        """Squared weight sitting on the highest retained photon-number shell."""
-        mask = self.basis.totals == self.basis.cutoff
-        return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
-
     def overlap(self, other):
         if other.basis is not self.basis:
             raise ValueError("states live on different bases")
@@ -148,8 +143,7 @@ class DensityOperator:
     """Density operator over a truncated Fock basis.
 
     Hermiticity and unit trace are enforced at construction; positivity is
-    checked lazily through :meth:`min_eigenvalue` because it costs a full
-    diagonalization.
+    not checked, since it would cost a full diagonalization.
     """
 
     basis: FockBasis
@@ -176,12 +170,6 @@ class DensityOperator:
     def cutoff(self):
         return self.basis.cutoff
 
-    def min_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def purity(self):
-        return float(np.real(np.sum(self.matrix * self.matrix.T)))
-
 
 def vacuum_state(mode_count, cutoff, policy=DEFAULT_POLICY):
     basis = enumerate_basis(mode_count, cutoff, policy)
@@ -197,67 +185,6 @@ def number_state(occupation, cutoff, policy=DEFAULT_POLICY):
     amp = np.zeros(basis.size, dtype=np.complex128)
     amp[basis.index_of(occupation)] = 1.0
     return OccupationState(basis, amp)
-
-
-def apply_creation(state, mode):
-    """Apply a creation operator to one mode. Returns an unnormalized state.
-
-    Components raised past the total cutoff are dropped; their squared
-    weight (n+1 per photon-number-n source component) is added to the
-    truncation tail.
-    """
-    basis = state.basis
-    occ = basis.occupations
-    totals = basis.totals
-    out = np.zeros_like(state.amplitudes)
-    dropped = 0.0
-    src = np.nonzero(state.amplitudes)[0]
-    for b in src:
-        n = occ[b, mode]
-        amp = state.amplitudes[b] * math.sqrt(n + 1)
-        if totals[b] == basis.cutoff:
-            dropped += abs(amp) ** 2
-            continue
-        target = list(occ[b])
-        target[mode] += 1
-        out[basis.index[tuple(target)]] += amp
-    return OccupationState(basis, out, state.truncation_tail + dropped)
-
-
-def apply_annihilation(state, mode):
-    """Adjoint of :func:`apply_creation`; never truncates."""
-    basis = state.basis
-    occ = basis.occupations
-    out = np.zeros_like(state.amplitudes)
-    src = np.nonzero(state.amplitudes)[0]
-    for b in src:
-        n = occ[b, mode]
-        if n == 0:
-            continue
-        target = list(occ[b])
-        target[mode] -= 1
-        out[basis.index[tuple(target)]] += state.amplitudes[b] * math.sqrt(n)
-    return OccupationState(basis, out, state.truncation_tail)
-
-
-def expectation(state, operator, policy=DEFAULT_POLICY):
-    """<psi|O|psi> or Tr(rho O) for a matrix operator.
-
-    The imaginary part must vanish within policy.imag_tol (the operator is
-    expected to be hermitian); it is checked and discarded.
-    """
-    if isinstance(state, OccupationState):
-        value = complex(np.vdot(state.amplitudes, operator @ state.amplitudes))
-    else:
-        value = complex(np.trace(state.matrix @ operator))
-    if abs(value.imag) > policy.imag_tol:
-        raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
-    return value.real
-
-
-def number_operator(basis, mode):
-    """Photon-number operator of one mode, diagonal in the occupation basis."""
-    return np.diag(basis.occupations[:, mode].astype(np.float64))
 
 
 def coherent_required_cutoff(z, tol=None, policy=DEFAULT_POLICY):
@@ -319,21 +246,6 @@ def two_photon_state(cutoff=2, policy=DEFAULT_POLICY):
     amp = np.zeros(basis.size, dtype=np.complex128)
     amp[basis.index_of((1, 0, 0, 1))] = 1.0 / math.sqrt(2.0)
     amp[basis.index_of((0, 1, 1, 0))] = 1.0 / math.sqrt(2.0)
-    return OccupationState(basis, amp)
-
-
-def bunched_pair_state(cutoff=2, policy=DEFAULT_POLICY):
-    """Photon pair after 50/50 interference, bunched terms included.
-
-    (1/2)(ad_1 - ad_3)(ad_4 - ad_2)|0>: four equal-weight components, two of
-    which put both photons into the same beam.
-    """
-    basis = enumerate_basis(4, cutoff, policy)
-    amp = np.zeros(basis.size, dtype=np.complex128)
-    amp[basis.index_of((1, 0, 0, 1))] = 0.5
-    amp[basis.index_of((1, 1, 0, 0))] = -0.5
-    amp[basis.index_of((0, 0, 1, 1))] = -0.5
-    amp[basis.index_of((0, 1, 1, 0))] = 0.5
     return OccupationState(basis, amp)
 
 

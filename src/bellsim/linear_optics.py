@@ -1,4 +1,4 @@
-"""Passive linear transformations and single-mode squeezing on Fock states.
+"""Passive linear transformations on Fock states, and the squeezed-vacuum series.
 
 A passive n x n unitary U acts on coherent amplitudes as z -> U z. On the
 truncated Fock space it is realized exactly, shell by shell, as a product
@@ -262,41 +262,3 @@ def squeezed_vacuum_amplitudes(u, cutoff):
         c *= -t * math.sqrt((2 * m - 1) / (2 * m))
         amp[2 * m] = c
     return amp
-
-
-def apply_single_mode_squeeze(state, mode, u, policy=DEFAULT_POLICY):
-    """Squeeze one currently-unoccupied mode of a pure state.
-
-    Sign convention: u > 0 contracts the q quadrature, q -> exp(-u) q. The
-    mode must be in the vacuum across the state's support (this package
-    never needs the general squeeze of an excited mode). Components pushed
-    past the total cutoff are dropped into the truncation tail.
-    """
-    if abs(u) > policy.squeeze_limit:
-        raise ValueError(f"|u| = {abs(u)} exceeds the limit {policy.squeeze_limit}")
-    if not isinstance(state, OccupationState):
-        raise TypeError("squeezing is implemented for pure states only")
-    basis = state.basis
-    occ = basis.occupations
-    occupied = (occ[:, mode] > 0) & (np.abs(state.amplitudes) > 1e-12)
-    if np.any(occupied):
-        raise ValueError(f"mode {mode} is not in the vacuum; cannot squeeze it")
-
-    series = squeezed_vacuum_amplitudes(u, basis.cutoff)
-    weights = np.abs(series) ** 2
-    # residual weight of the squeeze series past each even photon count
-    residual_past = 1.0 - np.cumsum(weights)
-
-    totals = basis.totals
-    out = np.zeros_like(state.amplitudes)
-    dropped = 0.0
-    src = np.nonzero(np.abs(state.amplitudes) > 0)[0]
-    for b in src:
-        room = basis.cutoff - totals[b]
-        target = list(occ[b])
-        for two_m in range(0, room + 1, 2):
-            target[mode] = two_m
-            out[basis.index[tuple(target)]] += state.amplitudes[b] * series[two_m]
-        kept = room if room % 2 == 0 else room - 1
-        dropped += abs(state.amplitudes[b]) ** 2 * max(0.0, residual_past[kept])
-    return OccupationState(basis, out, state.truncation_tail + dropped)

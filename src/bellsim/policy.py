@@ -38,7 +38,6 @@ class NumericalPolicy:
     hermiticity_tol: float = 1e-10
     trace_tol: float = 1e-10
     unitarity_tol: float = 1e-10
-    imag_tol: float = 1e-10
     coherent_tail_tol: float = 1e-8
     verdict_tol: float = 1e-9
     squeeze_limit: float = 5.0

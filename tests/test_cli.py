@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellsim import ConfigError, cli
+from bellsim import ConfigError, cli, detection, fock
 
 
 def run_cli(argv, capsys):
@@ -51,6 +51,23 @@ def test_run_vacuum_is_not_violated(capsys):
     )
     assert code == 0
     assert "verdict: not violated" in out
+
+
+@pytest.mark.parametrize("engine", ["fock", "analytic"])
+def test_vacuum_upper_margin_is_positive_zero(engine, tmp_path, capsys):
+    report = detection.ch_functional(fock.vacuum_state(4, 2), detection.AngleSettings(0, 0, 0, 0))
+    assert report.upper_margin == 0.0
+    assert math.copysign(1.0, report.upper_margin) == 1.0
+    argv = ["run", "--state", "vacuum", "--angles", "0,0,0,0", "--engine", engine]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "lower=0.000e+00 upper=0.000e+00" in out
+    out_file = tmp_path / "report.csv"
+    code, _, _ = run_cli(argv + ["--out", str(out_file)], capsys)
+    with open(out_file, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["upper_margin"] == "0"
+    assert "-0" not in out_file.read_text()
 
 
 def test_run_without_angles_uses_the_seed(capsys):
@@ -521,6 +538,74 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
     assert done.stdout.split() == ["False", "False"]
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def probe_without_thread_vars(code, **extra):
+    """Run ``code`` in a fresh interpreter with no BLAS thread variable set but ``extra``."""
+    env = source_env()
+    for name in THREAD_VARS:
+        env.pop(name, None)
+    env.update(extra)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_package_does_not_load_numpy():
+    probe = "import sys, bellsim; print('numpy' in sys.modules)"
+    assert probe_without_thread_vars(probe) == "False"
+
+
+def test_package_exports_resolve_on_first_use():
+    import bellsim
+
+    for name in bellsim.__all__:
+        assert getattr(bellsim, name) is not None, name
+    assert set(bellsim.__all__) <= set(dir(bellsim))
+    namespace = {}
+    exec("from bellsim import *", namespace)
+    assert set(bellsim.__all__) <= set(namespace)
+    assert namespace["vacuum_state"] is fock.vacuum_state
+    with pytest.raises(AttributeError):
+        bellsim.no_such_name
+    with pytest.raises(AttributeError):
+        bellsim.apply_creation
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_cli_process_runs_one_thread():
+    probe = (
+        "import os, sys\n"
+        "from bellsim import cli\n"
+        "code = cli.main(['run', '--state', 'vacuum', '--angles', '0,0,0,0'])\n"
+        "print(code, len(os.listdir('/proc/self/task')))\n"
+    )
+    assert probe_without_thread_vars(probe) == "0 1"
+
+
+@pytest.mark.parametrize("name", THREAD_VARS)
+def test_a_thread_count_set_by_the_user_is_kept(name):
+    probe = (
+        "import json, os\n"
+        "import bellsim.cli\n"
+        f"print(json.dumps([os.environ.get(v) for v in {THREAD_VARS!r}]))\n"
+    )
+    got = json.loads(probe_without_thread_vars(probe, **{name: "2"}))
+    assert got == ["2" if v == name else None for v in THREAD_VARS]
+
+
+def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
+    probe = (
+        "import os, numpy\n"
+        "before = dict(os.environ)\n"
+        "import bellsim.cli\n"
+        "print(dict(os.environ) == before, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+    )
+    assert probe_without_thread_vars(probe) == "True False"
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -540,6 +625,7 @@ def test_importing_the_cli_does_not_load_scipy_optimize():
         {"policy": {"psd_tol": 1e-9}},
         {"policy": {"purity_tol": 1e-9}},
         {"policy": {"norm_tol": 1e-9}},
+        {"policy": {"imag_tol": 1e-9}},
         {"policy": {"max_dimension": [10]}},
         {"sweep": 5},
         {"sweep": {"scenarios": 5}},

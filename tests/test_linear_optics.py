@@ -1,4 +1,4 @@
-"""Tests for passive transformations and single-mode squeezing."""
+"""Tests for passive transformations and the squeezed-vacuum series."""
 
 import numpy as np
 import pytest
@@ -150,34 +150,6 @@ def test_squeezed_vacuum_amplitudes_closed_form():
             / np.sqrt(np.cosh(u))
         )
         assert abs(amps[2 * m] - want) < 1e-12
-
-
-def test_single_mode_squeeze_matches_dense_exponential():
-    u = 0.4
-    cap = 30
-    state = fock.vacuum_state(1, cap)
-    got = linear_optics.apply_single_mode_squeeze(state, 0, u)
-    want = oracle.squeeze_op(u, 0, 1, cap) @ oracle.ket((0,), cap)
-    # the dense exponential feels its own truncation near the cap, so use a
-    # generous cap and compare the low-lying components only
-    assert np.max(np.abs(oracle.from_graded(got)[:12] - want[:12])) < 1e-10
-
-
-def test_squeeze_acts_on_the_requested_mode_only():
-    state = fock.vacuum_state(2, 8)
-    out = linear_optics.apply_single_mode_squeeze(state, 1, 0.5)
-    for idx in np.flatnonzero(np.abs(out.amplitudes) > 1e-14):
-        occ = out.basis.occupations[idx]
-        assert occ[0] == 0
-        assert occ[1] % 2 == 0
-
-
-def test_squeeze_preconditions():
-    occupied = fock.number_state((1, 0), 4)
-    with pytest.raises(ValueError):
-        linear_optics.apply_single_mode_squeeze(occupied, 0, 0.3)
-    with pytest.raises(ValueError):
-        linear_optics.apply_single_mode_squeeze(fock.vacuum_state(1, 4), 0, 7.0)
 
 
 def test_mixer_matches_dense_on_two_modes():
