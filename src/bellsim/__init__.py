@@ -60,7 +60,6 @@ _EXPORTS = {
         "CoherentAmplitudes",
         "SuiteReport",
         "classical_nonviolation_suite",
-        "coherent_ch",
         "mixture_ch",
     ),
     "gaussian": (
@@ -70,7 +69,6 @@ _EXPORTS = {
         "build_squeezed_thermal",
         "embed_passive",
         "fock_equivalent_state",
-        "gaussian_ch",
         "is_squeezed",
         "sweep_rows",
         "variance_matrix",

@@ -41,7 +41,15 @@ _STATE_KEYS = {
 # every allowed field is required except these
 _STATE_OPTIONAL = {"kappa"}
 _ENGINES = ("fock", "gaussian", "analytic", "both")
-_ANALYTIC_KINDS = ("vacuum", "coherent", "mixture")
+# the engines that can evaluate each state kind; the first is the default
+_STATE_ENGINES = {
+    "two_photon": ("fock",),
+    "file": ("fock",),
+    "vacuum": ("analytic", "fock"),
+    "coherent": ("analytic", "fock"),
+    "mixture": ("analytic", "fock"),
+    "squeezed_thermal": ("gaussian", "fock", "both"),
+}
 _POLICY_KEYS = {f.name for f in dataclasses.fields(NumericalPolicy)}
 _SWEEP_KEYS = {"u_start", "u_stop", "u_step", "scenarios", "kappas"}
 _CONFIG_KEYS = {
@@ -331,35 +339,17 @@ def _resolve_engine(config):
     if config.state is None:
         raise ConfigError("a state is required (set state in the config or --state)")
     kind = config.state["kind"]
-    engine = config.engine
-    if engine is None:
-        engine = {
-            "two_photon": "fock",
-            "file": "fock",
-            "vacuum": "analytic",
-            "coherent": "analytic",
-            "mixture": "analytic",
-            "squeezed_thermal": "gaussian",
-        }[kind]
-    if engine == "analytic" and kind not in _ANALYTIC_KINDS:
+    allowed = _STATE_ENGINES[kind]
+    engine = config.engine or allowed[0]
+    if engine not in allowed:
         raise ConfigError(
-            f"the analytic engine cannot represent state kind {kind!r} "
-            f"(closed forms exist for: {', '.join(_ANALYTIC_KINDS)})"
+            f"engine {engine!r} cannot evaluate state kind {kind!r} "
+            f"(engines for {kind}: {', '.join(allowed)})"
         )
-    if engine == "gaussian" and kind != "squeezed_thermal":
-        raise ConfigError(
-            f"the gaussian engine cannot represent state kind {kind!r} "
-            "(only centered Gaussians are supported)"
-        )
-    if engine == "both" and kind != "squeezed_thermal":
-        raise ConfigError("engine 'both' is only defined for squeezed_thermal states")
-    kappa = None
     if kind == "squeezed_thermal":
         kappa = _as_float(config.state.get("kappa", 1.0), "kappa")
-    if engine == "fock" and kind == "squeezed_thermal" and kappa != 1.0:
-        raise ConfigError("the Fock engine can only replicate kappa = 1 states")
-    if engine == "both" and kappa != 1.0:
-        raise ConfigError("engine 'both' requires kappa = 1 for the Fock replica")
+        if engine in ("fock", "both") and kappa != 1.0:
+            raise ConfigError(f"engine {engine!r} needs kappa = 1 for the Fock replica")
     return engine
 
 
@@ -417,17 +407,9 @@ def build_state(config, engine):
 
 
 def _report_for(state, angles, config, engine):
-    if isinstance(state, (fock.OccupationState, fock.DensityOperator)):
-        return detection.ch_functional(state, angles, config.policy)
-    if isinstance(state, coherent.CoherentAmplitudes):
-        return coherent.coherent_ch(state, angles, config.policy)
-    if isinstance(state, coherent.ClassicalMixture):
-        if engine == "fock":
-            return coherent.mixture_fock_report(state, angles, config.cutoff, config.policy)
-        return coherent.mixture_ch(state, angles, config.policy)
-    if isinstance(state, gaussian.GaussianState):
-        return gaussian.gaussian_ch(state, angles, config.policy)
-    raise ConfigError(f"no evaluation path for {type(state).__name__}")
+    if engine == "fock" and config.state["kind"] == "mixture":
+        return coherent.mixture_fock_report(state, angles, config.cutoff, config.policy)
+    return detection.ch_functional(state, angles, config.policy)
 
 
 def _format(value):
@@ -510,14 +492,9 @@ def cmd_run(config):
         print(f"no angles given; drew random settings with seed {config.seed}")
 
     if engine == "both":
-        spec = _squeezed_spec(config.state)
-        g_report = gaussian.gaussian_ch(
-            gaussian.build_squeezed_thermal(spec), angles, config.policy
-        )
-        f_report = detection.ch_functional(
-            gaussian.fock_equivalent_state(spec, config.cutoff, config.policy),
-            angles,
-            config.policy,
+        g_report, f_report = (
+            detection.ch_functional(build_state(config, name), angles, config.policy)
+            for name in ("gaussian", "fock")
         )
         _print_report(g_report, label="gaussian engine:")
         _print_report(f_report, label=f"fock engine (cutoff {config.cutoff}):")
@@ -577,8 +554,6 @@ def cmd_scan(config):
             "use run --engine fock, or scan with the analytic engine"
         )
     state = build_state(config, engine)
-    if isinstance(state, coherent.CoherentAmplitudes):
-        state = coherent.ClassicalMixture(np.ones(1), state.z.reshape(1, 4))
     result = detection.angle_scan(state, grid_density=config.grid, refine=config.refine)
     best = result.angles
     print(
@@ -645,7 +620,7 @@ def run_validation(
             f_state = gaussian.fock_equivalent_state(spec, cutoff, policy)
             for _ in range(3):
                 angles = detection.AngleSettings(*rng.uniform(0.0, math.pi, size=4))
-                g_report = gaussian.gaussian_ch(g_state, angles, policy)
+                g_report = detection.ch_functional(g_state, angles, policy)
                 f_report = detection.ch_functional(f_state, angles, policy)
                 for name in ("p_tt", "p_t_any", "p_any_t", "p_any_any"):
                     worst_cross = max(

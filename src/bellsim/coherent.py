@@ -36,12 +36,6 @@ class CoherentAmplitudes:
         object.__setattr__(self, "z", z)
 
 
-def _as_amplitudes(z):
-    if isinstance(z, CoherentAmplitudes):
-        return z.z
-    return CoherentAmplitudes(np.asarray(z)).z
-
-
 def _detected(z, beam, thetas):
     """1 - exp(-|cos(theta) z_i - sin(theta) z_j|^2): [..., component, angle].
 
@@ -87,24 +81,13 @@ def rate_tables(weights, components, thetas1, thetas2):
     return p_tt, p_t_any, p_any_t, p_any_any
 
 
-def _report(weights, components, angles, policy):
-    if not isinstance(angles, detection.AngleSettings):
-        angles = detection.AngleSettings(*angles)
-    tables = rate_tables(weights, components, *angles.beam_grids())
-    return detection.report_from_tables(tables, angles, 0.0, policy)
-
-
 def coincidence_probability(z, theta1, theta2):
-    """Joint rate P(theta1, theta2) of a coherent state; None removes a polarizer."""
-    z = _as_amplitudes(z)
-    return detection.single_rate(
-        lambda t1, t2: rate_tables(np.ones(1), z[None], t1, t2), theta1, theta2
-    )
+    """Joint rate P(theta1, theta2) of a coherent state; None removes a polarizer.
 
-
-def coherent_ch(z, angles, policy=DEFAULT_POLICY):
-    """CH report for a single coherent state, from the closed forms."""
-    return _report(np.ones(1), _as_amplitudes(z)[None], angles, policy)
+    ``z`` is a CoherentAmplitudes or its four amplitudes.
+    """
+    state = CoherentAmplitudes(getattr(z, "z", z))
+    return detection.single_rate(detection.state_tables(state)[0], theta1, theta2)
 
 
 @dataclass(frozen=True)
@@ -135,12 +118,7 @@ class ClassicalMixture:
 
 def mixture_ch(mixture, angles, policy=DEFAULT_POLICY):
     """CH report for a classical mixture, from the closed forms."""
-    return _report(mixture.weights, mixture.components, angles, policy)
-
-
-def scan_tables(mixture, thetas):
-    """Rate tables over an angle grid, for the shared scan core."""
-    return rate_tables(mixture.weights, mixture.components, thetas, thetas)
+    return detection.ch_functional(mixture, angles, policy)
 
 
 def mixture_fock_report(mixture, angles, cutoff, policy=DEFAULT_POLICY):
@@ -157,7 +135,7 @@ def mixture_fock_report(mixture, angles, cutoff, policy=DEFAULT_POLICY):
         angles = detection.AngleSettings(*angles)
     states = [synthesize_coherent(z, cutoff, policy) for z in mixture.components]
     tail = float(np.sum(mixture.weights * [s.truncation_tail for s in states]))
-    per_state = [detection._fock_rate_tables(s, *angles.beam_grids()) for s in states]
+    per_state = [detection.state_tables(s)[0](*angles.beam_grids()) for s in states]
     tables = tuple(
         sum(w * table[part] for w, table in zip(mixture.weights, per_state))
         for part in range(4)

@@ -10,7 +10,12 @@ N-photon block of a beam "no photon in the transmitted mode" is a single
 vector (see :func:`_polarizer_vectors`). Every vacuum marginal behind the
 rates is therefore a sum of squared contractions of those vectors with the
 state's amplitudes regrouped by beam photon numbers, and
-:func:`_fock_rate_tables` evaluates them for whole grids of angles at once.
+:func:`_block_rate_tables` evaluates them for whole grids of angles at once.
+
+The Gaussian and coherent engines produce the same four rate tables, and
+:func:`state_tables` picks the engine for a state. The CH report, the
+single rates and the angle scan are all built on it, so each takes a
+state of any engine.
 
 Beam one holds modes (0, 1), beam two modes (2, 3). A polarizer angle of
 ``None`` means the polarizer is removed and the whole beam is watched.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -217,14 +223,31 @@ def _block_rate_tables(beam_blocks, thetas1, thetas2):
     return p_tt, p_t_any, p_any_t, p_any_any
 
 
-def _fock_rate_tables(state, thetas1, thetas2):
-    """Rate tables of a four-mode Fock-engine state over an angle grid.
+def state_tables(state):
+    """The rate-table function of a four-mode state and its truncation tail.
 
-    Returns (p_tt[i, j], p_t_any[i], p_any_t[j], p_any_any): the joint
-    rate with polarizers at thetas1[i] and thetas2[j], the rates with only
-    one polarizer in place, and the rate with both removed.
+    Returns (tables, tail), with ``tables(thetas1, thetas2)`` giving
+    (p_tt[i, j], p_t_any[i], p_any_t[j], p_any_any): the joint rate with
+    polarizers at thetas1[i] and thetas2[j], the rates with only one
+    polarizer in place, and the rate with both removed. This is the one
+    place where a state's type picks its engine: Fock states and density
+    operators use their beam blocks, Gaussian states their variance
+    matrix, and coherent states and classical mixtures the closed forms.
+    Raises TypeError for any other type.
     """
-    return _block_rate_tables(_beam_blocks(state), thetas1, thetas2)
+    if isinstance(state, (OccupationState, DensityOperator)):
+        return partial(_block_rate_tables, _beam_blocks(state)), state.truncation_tail
+    from . import coherent, gaussian
+
+    if isinstance(state, gaussian.GaussianState):
+        if state.mode_count != 4:
+            raise ValueError("coincidence rates are defined on four-mode states")
+        return partial(gaussian.rate_tables, gaussian.variance_matrix(state)), 0.0
+    if isinstance(state, coherent.CoherentAmplitudes):  # a one-component mixture
+        return partial(coherent.rate_tables, np.ones(1), state.z[None]), 0.0
+    if isinstance(state, coherent.ClassicalMixture):
+        return partial(coherent.rate_tables, state.weights, state.components), 0.0
+    raise TypeError(f"no rate tables for {type(state).__name__}")
 
 
 def single_rate(rate_tables, theta1, theta2):
@@ -242,15 +265,12 @@ def single_rate(rate_tables, theta1, theta2):
 
 
 def coincidence_probability(state, theta1, theta2):
-    """Joint rate P(theta1, theta2) on a four-mode state.
+    """Joint rate P(theta1, theta2) on a four-mode state of any engine.
 
     Either angle may be None, meaning that polarizer is removed and the
     detector watches the full beam.
     """
-    beam_blocks = _beam_blocks(state)
-    return single_rate(
-        lambda t1, t2: _block_rate_tables(beam_blocks, t1, t2), theta1, theta2
-    )
+    return single_rate(state_tables(state)[0], theta1, theta2)
 
 
 def report_from_tables(tables, angles, tail_err=0.0, policy=DEFAULT_POLICY):
@@ -312,11 +332,15 @@ def report_from_tables(tables, angles, tail_err=0.0, policy=DEFAULT_POLICY):
 
 
 def ch_functional(state, angles, policy=DEFAULT_POLICY):
-    """Evaluate the CH functional on a Fock-engine state."""
+    """Evaluate the CH functional on a four-mode state of any engine.
+
+    The report's error bar is the state's truncation tail (see
+    :func:`state_tables`).
+    """
     if not isinstance(angles, AngleSettings):
         angles = AngleSettings(*angles)
-    tables = _fock_rate_tables(state, *angles.beam_grids())
-    return report_from_tables(tables, angles, state.truncation_tail, policy)
+    tables, tail = state_tables(state)
+    return report_from_tables(tables(*angles.beam_grids()), angles, tail, policy)
 
 
 @dataclass(frozen=True)
@@ -449,13 +473,11 @@ def angle_scan(state, grid_density=16, refine=False):
 
     Scans an exhaustive grid of the four angles over [0, pi), then
     optionally polishes the best grid point with a shrinking compass scan
-    (see :func:`_refine`). Both evaluate the same rate tables, picked by
-    state type: Fock states directly, Gaussian states and classical
-    mixtures through their engines.
+    (see :func:`_refine`). Both evaluate the state's rate tables from
+    :func:`state_tables`.
 
     Args:
-        state: OccupationState, DensityOperator, GaussianState or
-            ClassicalMixture.
+        state: a four-mode state of any engine.
         grid_density: points per angle axis (at least 2).
         refine: polish the best grid point, starting with the grid spacing
             as the step.
@@ -467,19 +489,8 @@ def angle_scan(state, grid_density=16, refine=False):
         raise ValueError("grid density must be at least 2")
     thetas = np.arange(grid_density) * math.pi / grid_density
 
-    if isinstance(state, (OccupationState, DensityOperator)):
-        beam_blocks = _beam_blocks(state)
-        tables = lambda t: _block_rate_tables(beam_blocks, t, t)
-    else:
-        from . import coherent, gaussian
-
-        if isinstance(state, gaussian.GaussianState):
-            tables = lambda t: gaussian.scan_tables(state, t)
-        elif isinstance(state, coherent.ClassicalMixture):
-            tables = lambda t: coherent.scan_tables(state, t)
-        else:
-            raise TypeError(f"cannot scan angles for {type(state).__name__}")
-
+    grid_tables, _ = state_tables(state)
+    tables = lambda t: grid_tables(t, t)
     best, grid_f = scan_angle_tables(*tables(thetas), thetas)
     angles, best_f = (best, grid_f)
     if refine:

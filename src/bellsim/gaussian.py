@@ -250,29 +250,9 @@ def rate_tables(v, thetas1, thetas2):
     return p_tt, p_t_any, p_any_t, p_any_any
 
 
-def _four_mode_variance(state):
-    if state.mode_count != 4:
-        raise ValueError("coincidence rates are defined on four-mode states")
-    return variance_matrix(state)
-
-
 def coincidence_probability(state, theta1, theta2):
     """Joint rate P(theta1, theta2); None removes that polarizer."""
-    v = _four_mode_variance(state)
-    return detection.single_rate(lambda t1, t2: rate_tables(v, t1, t2), theta1, theta2)
-
-
-def gaussian_ch(state, angles, policy=DEFAULT_POLICY):
-    """CH report for a four-mode Gaussian state."""
-    if not isinstance(angles, detection.AngleSettings):
-        angles = detection.AngleSettings(*angles)
-    tables = rate_tables(_four_mode_variance(state), *angles.beam_grids())
-    return detection.report_from_tables(tables, angles, 0.0, policy)
-
-
-def scan_tables(state, thetas):
-    """Rate tables over an angle grid, for the shared scan core."""
-    return rate_tables(_four_mode_variance(state), thetas, thetas)
+    return detection.single_rate(detection.state_tables(state)[0], theta1, theta2)
 
 
 def _coupled_beam_blocks(coupling, top):

@@ -1,6 +1,6 @@
 """Numerical tolerances and error types shared across the package."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class BellSimError(Exception):
@@ -43,6 +43,15 @@ class NumericalPolicy:
     squeeze_limit: float = 5.0
     squeezed_eig_margin: float = 1e-12
     max_dimension: int = 2_000_000
+
+    def __post_init__(self):
+        # a negative tolerance turns a saturated bound into a violation
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not value >= 0:
+                raise ValueError(
+                    f"policy {field.name} must be a number >= 0, got {value!r}"
+                )
 
 
 DEFAULT_POLICY = NumericalPolicy()

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bellsim import ConfigError, cli, detection, fock
+from bellsim import ConfigError, NumericalPolicy, cli, detection, fock
 
 
 def run_cli(argv, capsys):
@@ -392,6 +392,61 @@ def test_analytic_engine_is_accepted_for_closed_form_states(tmp_path, capsys):
         )
 
 
+def test_negative_policy_values_are_refused(tmp_path, capsys):
+    # with a negative verdict tolerance the saturated upper bound of this
+    # classical state (f = 0 at equal angles) would read as a violation
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"policy": {"verdict_tol": -1e-9}}))
+    state = json.dumps({"kind": "coherent", "z": [0.5, 0, 0.7, 0]})
+    argv = ["run", "--state", state, "--angles", "0,0,0,0"]
+    code, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: policy verdict_tol must be a number >= 0, got -1e-09\n"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert "verdict: not violated" in out
+    for name in ("verdict_tol", "max_dimension", "squeeze_limit", "trace_tol"):
+        with pytest.raises(ValueError, match=name):
+            NumericalPolicy(**{name: -1})
+    with pytest.raises(ValueError):
+        NumericalPolicy(verdict_tol=float("nan"))
+    assert NumericalPolicy(verdict_tol=0.0, max_dimension=0).verdict_tol == 0.0
+
+
+KIND_STATES = {
+    "two_photon": {"kind": "two_photon"},
+    "vacuum": {"kind": "vacuum"},
+    "coherent": {"kind": "coherent", "z": [0.5, 0.1, 0, 0.3]},
+    "mixture": {"kind": "mixture", "weights": [0.5, 0.5],
+                "components": [[0.3, 0.1, 0, 0], [0, 0, 0.2, [0.1, 0.4]]]},
+    "squeezed_thermal": {"kind": "squeezed_thermal", "u": 0.2, "v": 0.1},
+    "file": {"kind": "file"},
+}
+
+
+@pytest.mark.parametrize("engine", cli._ENGINES)
+@pytest.mark.parametrize("kind", sorted(cli._STATE_KEYS))
+def test_each_engine_runs_exactly_the_kinds_it_can_evaluate(kind, engine, tmp_path, capsys):
+    spec = KIND_STATES[kind]
+    if kind == "file":
+        path = tmp_path / "state.json"
+        amplitudes = [{"occupation": occ, "re": 1.0} for occ in ([1, 0, 0, 1], [0, 1, 1, 0])]
+        path.write_text(json.dumps({"cutoff": 2, "amplitudes": amplitudes}))
+        spec = {"kind": "file", "path": str(path)}
+    argv = ["run", "--state", json.dumps(spec), "--engine", engine, "--cutoff", "10",
+            "--angles", "0.39,0.79,1.18,0"]
+    code, out, err = run_cli(argv, capsys)
+    if engine in cli._STATE_ENGINES[kind]:
+        assert code in (0, 2), err
+        assert "verdict:" in out
+    else:
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert repr(engine) in err and repr(kind) in err
+
+
 def test_usage_errors_exit_one_not_inconclusive(capsys):
     for argv in (
         [],
@@ -627,6 +682,9 @@ def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
         {"policy": {"norm_tol": 1e-9}},
         {"policy": {"imag_tol": 1e-9}},
         {"policy": {"max_dimension": [10]}},
+        {"policy": {"verdict_tol": -1e-9}},
+        {"policy": {"max_dimension": -1}},
+        {"policy": {"squeeze_limit": -0.5}},
         {"sweep": 5},
         {"sweep": {"scenarios": 5}},
         {"sweep": {"kappas": 0.9}},

@@ -42,7 +42,7 @@ def test_coherent_ch_never_violates():
     for _ in range(40):
         z = rng.normal(size=4) * 2.0 + 1j * rng.normal(size=4) * 2.0
         angles = AngleSettings(*rng.uniform(0.0, np.pi, size=4))
-        report = coherent.coherent_ch(z, angles)
+        report = detection.ch_functional(coherent.CoherentAmplitudes(z), angles)
         assert report.f <= 1e-12
         assert report.f + report.p_any_any >= -1e-12
         assert report.verdict == detection.NOT_VIOLATED
@@ -52,7 +52,7 @@ def test_single_component_mixture_equals_coherent():
     z = np.array([0.8, -0.2 + 0.4j, 0.1, 0.9j])
     mix = coherent.ClassicalMixture(np.array([1.0]), [z])
     a = coherent.mixture_ch(mix, ANGLES)
-    b = coherent.coherent_ch(z, ANGLES)
+    b = detection.ch_functional(coherent.CoherentAmplitudes(z), ANGLES)
     assert abs(a.f - b.f) < 1e-15
 
 
@@ -76,9 +76,7 @@ def test_mixture_rates_are_convex_combinations():
     z2 = rng.normal(size=4) + 0j
     mix = coherent.ClassicalMixture(np.array([0.3, 0.7]), [z1, z2])
     for t1, t2 in [(0.2, 0.9), (1.3, None)]:
-        got = detection.single_rate(
-            lambda a, b: coherent.rate_tables(mix.weights, mix.components, a, b), t1, t2
-        )
+        got = detection.coincidence_probability(mix, t1, t2)
         want = 0.3 * coherent.coincidence_probability(
             coherent.CoherentAmplitudes(z1), t1, t2
         ) + 0.7 * coherent.coincidence_probability(
@@ -187,7 +185,7 @@ def test_scan_tables_match_pointwise_rates():
     rng = np.random.default_rng(73)
     mix = coherent.random_mixture(rng)
     thetas = np.linspace(0.0, np.pi, 6, endpoint=False)
-    p_tt, p_t_any, p_any_t, p_any_any = coherent.scan_tables(mix, thetas)
+    p_tt, p_t_any, p_any_t, p_any_any = detection.state_tables(mix)[0](thetas, thetas)
     assert p_tt.shape == (6, 6)
     for i in (0, 3):
         for j in (1, 4):

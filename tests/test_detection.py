@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from bellsim import detection, fock
+from bellsim import coherent, detection, fock, gaussian
 from bellsim.detection import (
     INCONCLUSIVE,
     NOT_VIOLATED,
@@ -99,7 +99,7 @@ def test_rates_match_dense_reference_on_a_messy_state():
 
 def test_four_rates_consistency():
     state = fock.two_photon_state()
-    p_tt, p_t_any, p_any_t, p_any_any = detection._fock_rate_tables(state, [0.7], [1.1])
+    p_tt, p_t_any, p_any_t, p_any_any = detection.state_tables(state)[0]([0.7], [1.1])
     assert 0.0 <= p_tt[0, 0] <= p_t_any[0] + 1e-12
     assert p_tt[0, 0] <= p_any_t[0] + 1e-12
     assert p_any_any <= 1.0 + 1e-12
@@ -152,7 +152,7 @@ def test_ch_functional_bunched_pairs_at_pinned_angles():
 
 
 def fock_report(state, angles, tail_err=0.0):
-    tables = detection._fock_rate_tables(state, *angles.beam_grids())
+    tables = detection.state_tables(state)[0](*angles.beam_grids())
     return detection.report_from_tables(tables, angles, tail_err)
 
 
@@ -234,3 +234,64 @@ def test_report_from_tables_gives_no_verdict_on_non_finite_numbers():
         # one bad rate among good ones is enough
         with pytest.raises(ValueError):
             detection.report_from_tables(constant_tables(0.5, any_value=bad), angles)
+
+
+# a cutoff of 8 leaves a nonzero truncation tail for the report to carry
+REPLICA = gaussian.fock_equivalent_state(gaussian.SqueezedThermalSpec(0.3, -0.2, 1.0), 8)
+RHO = REPLICA.to_density_operator()
+SQUEEZED = gaussian.build_squeezed_thermal(gaussian.SqueezedThermalSpec(0.4, 0.35, 0.9))
+Z = np.array([0.8, -0.2 + 0.4j, 0.1, 0.9j])
+MIXTURE = coherent.ClassicalMixture(np.array([0.3, 0.7]), [Z, 0.5 * Z[::-1]])
+
+
+def fock_tables(state):
+    blocks = detection._beam_blocks(state)
+    return lambda t1, t2: detection._block_rate_tables(blocks, t1, t2)
+
+
+# state type -> (state, that engine's own rate tables, truncation tail)
+ENGINE_STATES = {
+    "OccupationState": (REPLICA, fock_tables(REPLICA), REPLICA.truncation_tail),
+    "DensityOperator": (RHO, fock_tables(RHO), RHO.truncation_tail),
+    "GaussianState": (
+        SQUEEZED,
+        lambda t1, t2: gaussian.rate_tables(gaussian.variance_matrix(SQUEEZED), t1, t2),
+        0.0,
+    ),
+    "CoherentAmplitudes": (
+        coherent.CoherentAmplitudes(Z),
+        lambda t1, t2: coherent.rate_tables(np.ones(1), Z[None], t1, t2),
+        0.0,
+    ),
+    "ClassicalMixture": (
+        MIXTURE,
+        lambda t1, t2: coherent.rate_tables(MIXTURE.weights, MIXTURE.components, t1, t2),
+        0.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_STATES))
+def test_ch_functional_takes_every_engines_state(name):
+    state, tables, tail = ENGINE_STATES[name]
+    assert type(state).__name__ == name
+    want = detection.report_from_tables(tables(*PINNED.beam_grids()), PINNED, tail)
+    assert detection.ch_functional(state, PINNED) == want
+    assert detection.state_tables(state)[1] == tail
+    joint = detection.coincidence_probability(state, PINNED.theta1, PINNED.theta2)
+    assert abs(joint - want.p_tt) < 1e-15
+
+
+def test_state_tables_reject_an_unknown_type():
+    for bad in (3.14, Z, object()):
+        with pytest.raises(TypeError):
+            detection.state_tables(bad)
+    with pytest.raises(TypeError):
+        detection.ch_functional(Z, PINNED)
+
+
+def test_scan_of_a_coherent_state_equals_its_one_component_mixture():
+    single = coherent.ClassicalMixture(np.ones(1), Z[None])
+    for refine in (False, True):
+        got = detection.angle_scan(coherent.CoherentAmplitudes(Z), 6, refine)
+        assert got == detection.angle_scan(single, 6, refine)

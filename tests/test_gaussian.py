@@ -166,7 +166,7 @@ def test_fock_replica_requires_a_pure_state():
 
 def test_vacuum_ch_is_flat():
     vac = gaussian.build_squeezed_thermal(SqueezedThermalSpec(0.0, 0.0, 1.0))
-    report = gaussian.gaussian_ch(vac, PINNED)
+    report = detection.ch_functional(vac, PINNED)
     assert report.f == 0.0
     assert report.verdict == detection.NOT_VIOLATED
 
@@ -191,7 +191,7 @@ def test_balanced_squeezing_violates_at_pinned_angles():
     ]
     for u, v, kappa, f_want in cases:
         state = gaussian.build_squeezed_thermal(SqueezedThermalSpec(u, v, kappa))
-        report = gaussian.gaussian_ch(state, PINNED)
+        report = detection.ch_functional(state, PINNED)
         assert report.verdict == detection.VIOLATED
         assert abs(report.f - f_want) < 1e-12
 

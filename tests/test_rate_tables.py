@@ -1,4 +1,4 @@
-"""Tests for the batched rate tables of the Fock and Gaussian engines and the scan maximum."""
+"""Tests for the batched rate tables of every engine and the scan maximum."""
 
 import itertools
 import math
@@ -9,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from bellsim import detection, fock, gaussian, linear_optics
-from bellsim.detection import AngleSettings, _fock_rate_tables
+from bellsim import coherent, detection, fock, gaussian, linear_optics
+from bellsim.detection import AngleSettings
+
+
+def state_rate_tables(state, thetas1, thetas2):
+    return detection.state_tables(state)[0](thetas1, thetas2)
 
 
 def random_pure_state(rng, cutoff):
@@ -60,7 +64,7 @@ def test_tables_match_the_dense_oracle_on_random_pure_states(cutoff, cached_orac
     state = random_pure_state(rng, cutoff)
     thetas1 = rng.uniform(0.0, np.pi, size=2)
     thetas2 = rng.uniform(0.0, np.pi, size=1)
-    got = _fock_rate_tables(state, thetas1, thetas2)
+    got = state_rate_tables(state, thetas1, thetas2)
     vectors = [oracle.from_graded(state)]
     want = oracle_tables(cached_oracle, vectors, [1.0], thetas1, thetas2, cutoff)
     assert_tables_close(got, want, 1e-9)
@@ -75,7 +79,7 @@ def test_tables_match_the_dense_oracle_on_a_mixed_state(cached_oracle):
     rho = fock.DensityOperator(pure[0].basis, matrix)
     thetas1 = rng.uniform(0.0, np.pi, size=2)
     thetas2 = rng.uniform(0.0, np.pi, size=3)
-    got = _fock_rate_tables(rho, thetas1, thetas2)
+    got = state_rate_tables(rho, thetas1, thetas2)
     vectors = [oracle.from_graded(s) for s in pure]
     want = oracle_tables(cached_oracle, vectors, weights, thetas1, thetas2, cutoff)
     assert_tables_close(got, want, 1e-9)
@@ -86,7 +90,7 @@ def test_grid_tables_equal_single_point_reports():
         gaussian.SqueezedThermalSpec(0.3, -0.2, 1.0), 10
     )
     thetas = np.arange(6) * np.pi / 6
-    p_tt, p_t_any, p_any_t, p_any_any = _fock_rate_tables(state, thetas, thetas)
+    p_tt, p_t_any, p_any_t, p_any_any = state_rate_tables(state, thetas, thetas)
     for i, j, ia, ja in [(0, 1, 2, 3), (5, 4, 1, 0), (2, 2, 3, 3)]:
         report = detection.ch_functional(
             state, AngleSettings(thetas[i], thetas[j], thetas[ia], thetas[ja])
@@ -106,9 +110,9 @@ def test_grid_tables_equal_single_point_reports():
 
 
 def test_tables_reject_states_that_are_not_four_mode():
-    state = fock.number_state((1, 0), 2)
-    with pytest.raises(ValueError):
-        _fock_rate_tables(state, [0.0], [0.0])
+    for state in (fock.number_state((1, 0), 2), gaussian.GaussianState(np.eye(4))):
+        with pytest.raises(ValueError, match="four-mode"):
+            detection.state_tables(state)
 
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -117,27 +121,6 @@ ANGLES = st.lists(
     st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=3
 )
 PROPERTY = settings(max_examples=30, deadline=None)
-
-
-@PROPERTY
-@given(seed=SEEDS, cutoff=CUTOFFS, thetas1=ANGLES, thetas2=ANGLES)
-def test_rates_lie_in_the_unit_interval(seed, cutoff, thetas1, thetas2):
-    state = random_pure_state(np.random.default_rng(seed), cutoff)
-    for table in _fock_rate_tables(state, thetas1, thetas2):
-        values = np.asarray(table)
-        assert np.all(values >= -1e-12)
-        assert np.all(values <= 1.0 + 1e-12)
-
-
-@PROPERTY
-@given(seed=SEEDS, cutoff=CUTOFFS, thetas1=ANGLES, thetas2=ANGLES)
-def test_rates_are_pi_periodic_in_each_angle(seed, cutoff, thetas1, thetas2):
-    state = random_pure_state(np.random.default_rng(seed), cutoff)
-    base = _fock_rate_tables(state, thetas1, thetas2)
-    shifted_one = _fock_rate_tables(state, np.add(thetas1, np.pi), thetas2)
-    shifted_two = _fock_rate_tables(state, thetas1, np.subtract(thetas2, np.pi))
-    assert_tables_close(shifted_one, base, 1e-12)
-    assert_tables_close(shifted_two, base, 1e-12)
 
 
 @PROPERTY
@@ -284,33 +267,62 @@ def test_sweep_rejects_an_out_of_range_point():
         gaussian.sweep_rows([0.5], ("equal",), (1.0, 1.2), (0.0, 0.1, 0.2, 0.3))
 
 
+# --- properties of every engine ---------------------------------------------
+
+
 GAUSSIAN_SPECS = st.builds(
     gaussian.SqueezedThermalSpec,
     u=st.floats(-1.5, 1.5),
     v=st.floats(-1.5, 1.5),
     kappa=st.floats(0.05, 1.0),
 )
+AMPLITUDES = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+MIXTURES = st.integers(1, 4).flatmap(
+    lambda count: st.builds(
+        lambda weights, components: coherent.ClassicalMixture(
+            np.divide(weights, sum(weights)), components
+        ),
+        st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count),
+        st.lists(
+            st.lists(AMPLITUDES, min_size=4, max_size=4), min_size=count, max_size=count
+        ),
+    )
+)
+FOCK_STATES = st.builds(
+    lambda seed, cutoff: random_pure_state(np.random.default_rng(seed), cutoff),
+    SEEDS,
+    CUTOFFS,
+)
+STATES = st.one_of(FOCK_STATES, GAUSSIAN_SPECS.map(gaussian.build_squeezed_thermal), MIXTURES)
+# about as many examples per engine as PROPERTY gives one engine
+ENGINE_PROPERTY = settings(max_examples=90, deadline=None)
 
 
-@PROPERTY
-@given(spec=GAUSSIAN_SPECS, thetas1=ANGLES, thetas2=ANGLES)
-def test_gaussian_rates_lie_in_the_unit_interval(spec, thetas1, thetas2):
-    v = gaussian.variance_matrix(gaussian.build_squeezed_thermal(spec))
-    for table in gaussian.rate_tables(v, thetas1, thetas2):
+@ENGINE_PROPERTY
+@given(state=STATES, thetas1=ANGLES, thetas2=ANGLES)
+def test_rates_lie_in_the_unit_interval(state, thetas1, thetas2):
+    for table in state_rate_tables(state, thetas1, thetas2):
         values = np.asarray(table)
         assert np.all(values >= -1e-12)
         assert np.all(values <= 1.0 + 1e-12)
 
 
+@ENGINE_PROPERTY
+@given(state=STATES, thetas1=ANGLES, thetas2=ANGLES)
+def test_rates_are_pi_periodic_in_each_angle(state, thetas1, thetas2):
+    tables, _ = detection.state_tables(state)
+    base = tables(thetas1, thetas2)
+    assert_tables_close(tables(np.add(thetas1, np.pi), thetas2), base, 1e-12)
+    assert_tables_close(tables(thetas1, np.subtract(thetas2, np.pi)), base, 1e-12)
+
+
 @PROPERTY
-@given(spec=GAUSSIAN_SPECS, thetas1=ANGLES, thetas2=ANGLES)
-def test_gaussian_rates_are_pi_periodic_in_each_angle(spec, thetas1, thetas2):
-    v = gaussian.variance_matrix(gaussian.build_squeezed_thermal(spec))
-    base = gaussian.rate_tables(v, thetas1, thetas2)
-    shifted_one = gaussian.rate_tables(v, np.add(thetas1, np.pi), thetas2)
-    shifted_two = gaussian.rate_tables(v, thetas1, np.subtract(thetas2, np.pi))
-    assert_tables_close(shifted_one, base, 1e-12)
-    assert_tables_close(shifted_two, base, 1e-12)
+@given(mixture=MIXTURES, angles=st.tuples(*[st.floats(-10.0, 10.0)] * 4))
+def test_mixtures_never_violate(mixture, angles):
+    report = detection.ch_functional(mixture, angles)
+    assert report.f <= 1e-12
+    assert report.f + report.p_any_any >= -1e-12
+    assert report.verdict != detection.VIOLATED
 
 
 # --- scan maximum ---------------------------------------------------------------

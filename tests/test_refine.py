@@ -33,8 +33,7 @@ def random_pure_state(rng, cutoff):
 
 
 def fock_case(seed, cutoff):
-    state = random_pure_state(np.random.default_rng(seed), cutoff)
-    return state, lambda angles: detection.ch_functional(state, angles)
+    return random_pure_state(np.random.default_rng(seed), cutoff)
 
 
 def density_case(seed):
@@ -42,22 +41,19 @@ def density_case(seed):
     pure = [random_pure_state(rng, 2) for _ in range(3)]
     weights = rng.dirichlet(np.ones(3))
     matrix = sum(w * s.to_density_operator().matrix for w, s in zip(weights, pure))
-    rho = fock.DensityOperator(pure[0].basis, matrix)
-    return rho, lambda angles: detection.ch_functional(rho, angles)
+    return fock.DensityOperator(pure[0].basis, matrix)
 
 
 def gaussian_case(u, v, kappa):
-    state = gaussian.build_squeezed_thermal(gaussian.SqueezedThermalSpec(u, v, kappa))
-    return state, lambda angles: gaussian.gaussian_ch(state, angles)
+    return gaussian.build_squeezed_thermal(gaussian.SqueezedThermalSpec(u, v, kappa))
 
 
 def mixture_case(seed):
     rng = np.random.default_rng(seed)
-    mixture = coherent.random_mixture(rng).transformed(coherent.haar_unitary(rng))
-    return mixture, lambda angles: coherent.mixture_ch(mixture, angles)
+    return coherent.random_mixture(rng).transformed(coherent.haar_unitary(rng))
 
 
-# name -> (state and its per-point CH report, grid density)
+# name -> (state builder, grid density)
 CASES = {
     "fock_c3_seed1": (lambda: fock_case(1, 3), 8),
     "fock_c4_seed2": (lambda: fock_case(2, 4), 8),
@@ -106,7 +102,8 @@ def gradient(report, angles, eps=1e-5):
 ])
 def test_compass_polish_matches_or_beats_nelder_mead(name):
     build, grid_density = CASES[name]
-    state, report = build()
+    state = build()
+    report = lambda angles: detection.ch_functional(state, angles)
     grid = detection.angle_scan(state, grid_density=grid_density)
     refined = detection.angle_scan(state, grid_density=grid_density, refine=True)
     assert refined.refined and refined.grid_f == grid.grid_f
