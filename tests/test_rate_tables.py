@@ -317,6 +317,27 @@ def test_rates_are_pi_periodic_in_each_angle(state, thetas1, thetas2):
 
 
 @PROPERTY
+@given(spec=GAUSSIAN_SPECS, thetas1=ANGLES, thetas2=ANGLES)
+def test_gaussian_rates_lie_in_the_unit_interval(spec, thetas1, thetas2):
+    v = gaussian.variance_matrix(gaussian.build_squeezed_thermal(spec))
+    for table in gaussian.rate_tables(v, thetas1, thetas2):
+        values = np.asarray(table)
+        assert np.all(values >= -1e-12)
+        assert np.all(values <= 1.0 + 1e-12)
+
+
+@PROPERTY
+@given(spec=GAUSSIAN_SPECS, thetas1=ANGLES, thetas2=ANGLES)
+def test_gaussian_rates_are_pi_periodic_in_each_angle(spec, thetas1, thetas2):
+    v = gaussian.variance_matrix(gaussian.build_squeezed_thermal(spec))
+    base = gaussian.rate_tables(v, thetas1, thetas2)
+    shifted_one = gaussian.rate_tables(v, np.add(thetas1, np.pi), thetas2)
+    shifted_two = gaussian.rate_tables(v, thetas1, np.subtract(thetas2, np.pi))
+    assert_tables_close(shifted_one, base, 1e-12)
+    assert_tables_close(shifted_two, base, 1e-12)
+
+
+@PROPERTY
 @given(mixture=MIXTURES, angles=st.tuples(*[st.floats(-10.0, 10.0)] * 4))
 def test_mixtures_never_violate(mixture, angles):
     report = detection.ch_functional(mixture, angles)
