@@ -80,6 +80,8 @@ CSV_FIELDS = ("u", "v", "kappa", "f", "neg_p_both", "violated")
 
 def parse_angle(value):
     """Parse an angle given in radians or as a pi fraction like '3pi/8'."""
+    if isinstance(value, bool):  # JSON true/false is a wrong shape, not 1 or 0
+        raise ConfigError(f"cannot parse angle {value!r}")
     if isinstance(value, (int, float)):
         return float(value)
     if not isinstance(value, str):

@@ -104,6 +104,8 @@ class ClassicalMixture:
             raise ValueError(
                 f"shape mismatch: weights {w.shape}, components {comps.shape}"
             )
+        if not (np.isfinite(w).all() and np.isfinite(comps).all()):
+            raise ValueError("mixture weights and amplitudes must be finite")
         if np.any(w <= 0):
             raise ValueError("mixture weights must be positive")
         if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
@@ -181,7 +183,7 @@ def _haar_from_gaussian(m):
     return q * (diagonal / np.abs(diagonal)).conj()[..., None, :]
 
 
-def _trial_draws(seed, trial, amplitude_scale):
+def _trial_draws(seed, trial, amplitude_scale=2.0):
     """The seeded draws of one trial, in order: mixture, Gaussian matrix, angles."""
     rng = np.random.default_rng([seed, trial])
     mixture = random_mixture(rng, amplitude_scale=amplitude_scale)
@@ -196,9 +198,7 @@ def nonviolation_trial(seed, trial, policy=DEFAULT_POLICY, amplitude_scale=2.0):
     return mixture_ch(mixture.transformed(_haar_from_gaussian(normal)), angles, policy)
 
 
-def classical_nonviolation_suite(
-    seed, trials, policy=DEFAULT_POLICY, amplitude_scale=2.0
-):
+def classical_nonviolation_suite(seed, trials, policy=DEFAULT_POLICY):
     """Sample classical scenarios and confirm the CH inequality holds.
 
     Each trial draws a random mixture, scrambles it with a Haar-random
@@ -209,7 +209,7 @@ def classical_nonviolation_suite(
     evaluated as one stack: their mixtures padded with zero weights to a
     common length, one QR and one table evaluation for all of them.
     """
-    draws = [_trial_draws(seed, trial, amplitude_scale) for trial in range(trials)]
+    draws = [_trial_draws(seed, trial) for trial in range(trials)]
     if not draws:
         return SuiteReport(trials, 0, 0.0, 0.0, None)
     width = max(mixture.weights.size for mixture, _, _ in draws)

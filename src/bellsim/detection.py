@@ -107,7 +107,7 @@ def vacuum_probability(state, modes):
     return float(np.real(np.sum(np.diag(state.matrix)[mask])))
 
 
-def polarizer_apply(state, theta, policy=DEFAULT_POLICY):
+def polarizer_apply(state, theta):
     """Send a two-mode state through a polarizer at angle theta.
 
     Rotates the pair so the transmitted polarization is the first mode,
@@ -116,8 +116,8 @@ def polarizer_apply(state, theta, policy=DEFAULT_POLICY):
     """
     if state.mode_count != 2:
         raise ValueError("polarizer_apply expects a two-mode state")
-    rotated = apply_passive(state, polarizer_rotation(theta, (0, 1), 2), policy)
-    return partial_trace(rotated, keep=(0,), policy=policy)
+    rotated = apply_passive(state, polarizer_rotation(theta, (0, 1), 2))
+    return partial_trace(rotated, keep=(0,))
 
 
 def _polarizer_vectors(thetas, cutoff):

@@ -16,12 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .policy import (
-    DEFAULT_POLICY,
-    DimensionLimitError,
-    NumericalPolicy,
-    TruncationTailError,
-)
+from .policy import DEFAULT_POLICY, DimensionLimitError, TruncationTailError
+
+# largest hermiticity residual and trace deviation a density operator may carry
+DENSITY_TOL = 1e-10
 
 
 def _compositions(total, parts):
@@ -149,17 +147,16 @@ class DensityOperator:
     basis: FockBasis
     matrix: np.ndarray = field(repr=False)
     truncation_tail: float = 0.0
-    policy: NumericalPolicy = field(default=DEFAULT_POLICY, repr=False)
 
     def __post_init__(self):
         d = self.basis.size
         if self.matrix.shape != (d, d):
             raise ValueError(f"matrix shape {self.matrix.shape}, expected ({d}, {d})")
         herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
-        if herm > self.policy.hermiticity_tol:
+        if herm > DENSITY_TOL:
             raise ValueError(f"matrix is not hermitian (residual {herm:.3e})")
         tr = complex(np.trace(self.matrix))
-        if abs(tr - 1.0) > self.policy.trace_tol + self.truncation_tail:
+        if abs(tr - 1.0) > DENSITY_TOL + self.truncation_tail:
             raise ValueError(f"trace is {tr}, expected 1")
 
     @property
@@ -187,9 +184,8 @@ def number_state(occupation, cutoff, policy=DEFAULT_POLICY):
     return OccupationState(basis, amp)
 
 
-def coherent_required_cutoff(z, tol=None, policy=DEFAULT_POLICY):
-    """Smallest total cutoff at which a coherent state's tail is within tol."""
-    tol = policy.coherent_tail_tol if tol is None else tol
+def coherent_required_cutoff(z, policy=DEFAULT_POLICY):
+    """Smallest total cutoff whose coherent-state tail meets coherent_tail_tol."""
     lam = float(np.sum(np.abs(np.asarray(z, dtype=np.complex128)) ** 2))
     if lam == 0.0:
         return 0
@@ -197,7 +193,7 @@ def coherent_required_cutoff(z, tol=None, policy=DEFAULT_POLICY):
     term = math.exp(-lam)
     cdf = term
     n = 0
-    while 1.0 - cdf > tol:
+    while 1.0 - cdf > policy.coherent_tail_tol:
         n += 1
         term *= lam / n
         cdf += term
@@ -227,7 +223,7 @@ def synthesize_coherent(z, cutoff, policy=DEFAULT_POLICY):
     amp *= math.exp(-0.5 * float(np.sum(np.abs(z) ** 2)))
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amp) ** 2)))
     if tail > policy.coherent_tail_tol:
-        needed = coherent_required_cutoff(z, policy.coherent_tail_tol, policy)
+        needed = coherent_required_cutoff(z, policy)
         raise TruncationTailError(
             f"coherent tail {tail:.3e} exceeds {policy.coherent_tail_tol:.1e} at "
             f"cutoff {cutoff}; cutoff {needed} would satisfy the bound",
@@ -236,13 +232,13 @@ def synthesize_coherent(z, cutoff, policy=DEFAULT_POLICY):
     return OccupationState(basis, amp, tail)
 
 
-def two_photon_state(cutoff=2, policy=DEFAULT_POLICY):
+def two_photon_state():
     """Polarization-entangled photon pair, one photon in each beam.
 
     (|1,0,0,1> + |0,1,1,0>)/sqrt(2): beam one holds modes (0, 1), beam two
     modes (2, 3), and each beam carries exactly one photon.
     """
-    basis = enumerate_basis(4, cutoff, policy)
+    basis = enumerate_basis(4, 2)
     amp = np.zeros(basis.size, dtype=np.complex128)
     amp[basis.index_of((1, 0, 0, 1))] = 1.0 / math.sqrt(2.0)
     amp[basis.index_of((0, 1, 1, 0))] = 1.0 / math.sqrt(2.0)
@@ -263,7 +259,7 @@ def _reduced_keys(basis, keep, traced):
     return keep_basis, traced_basis, keep_idx, traced_idx
 
 
-def partial_trace(state, keep, policy=DEFAULT_POLICY):
+def partial_trace(state, keep):
     """Trace out every mode not listed in ``keep``.
 
     Accepts a pure state or a density operator and returns a
@@ -298,4 +294,4 @@ def partial_trace(state, keep, policy=DEFAULT_POLICY):
             rows = keep_idx[members]
             reduced[np.ix_(rows, rows)] += state.matrix[np.ix_(members, members)]
 
-    return DensityOperator(keep_basis, reduced, state.truncation_tail, policy)
+    return DensityOperator(keep_basis, reduced, state.truncation_tail)

@@ -17,8 +17,11 @@ import numpy as np
 
 from . import detection
 from .fock import OccupationState, enumerate_basis
-from .linear_optics import beam_wiring, check_unitary, entangling_unitary
+from .linear_optics import UNITARITY_TOL, beam_wiring, check_unitary, entangling_unitary
 from .policy import DEFAULT_POLICY
+
+# how far an eigenvalue of V must sit below the vacuum's 1/2 to count as squeezed
+SQUEEZED_EIG_MARGIN = 1e-12
 
 
 def symplectic_form(mode_count):
@@ -72,14 +75,14 @@ def variance_matrix(state):
     return np.linalg.inv(state.g) / 2.0
 
 
-def is_squeezed(state, policy=DEFAULT_POLICY):
+def is_squeezed(state):
     """Whether any quadrature direction beats the vacuum variance.
 
     Returns (squeezed, min_eigenvalue): squeezed when the smallest
-    eigenvalue of V sits below 1/2 by more than the policy margin.
+    eigenvalue of V sits below 1/2 by more than SQUEEZED_EIG_MARGIN.
     """
     low = float(np.linalg.eigvalsh(variance_matrix(state))[0])
-    return low < 0.5 - policy.squeezed_eig_margin, low
+    return low < 0.5 - SQUEEZED_EIG_MARGIN, low
 
 
 @dataclass(frozen=True)
@@ -133,18 +136,18 @@ def build_squeezed_thermal(spec):
     return GaussianState(_squeezed_thermal_exponents([spec])[0])
 
 
-def embed_passive(matrix, policy=DEFAULT_POLICY):
+def embed_passive(matrix):
     """Symplectic-orthogonal embedding of a passive n x n unitary.
 
     [[Re U, -Im U], [Im U, Re U]] in (q..., p...) ordering; this is the
     quadrature action of the transformation z -> U z.
     """
-    matrix = check_unitary(matrix, policy)
+    matrix = check_unitary(matrix)
     re, im = matrix.real, matrix.imag
     return np.block([[re, -im], [im, re]])
 
 
-def apply_symplectic(state, matrix, policy=DEFAULT_POLICY):
+def apply_symplectic(state, matrix):
     """Transform the state along xi -> M xi, so V -> M V M^T."""
     m = np.asarray(matrix, dtype=np.float64)
     n = state.mode_count
@@ -152,25 +155,18 @@ def apply_symplectic(state, matrix, policy=DEFAULT_POLICY):
         raise ValueError(f"expected a {2 * n} x {2 * n} matrix, got {m.shape}")
     beta = symplectic_form(n)
     residual = np.max(np.abs(m @ beta @ m.T - beta))
-    if residual > policy.unitarity_tol:
+    if residual > UNITARITY_TOL:
         raise ValueError(f"matrix is not symplectic (residual {residual:.3e})")
     m_inv = -beta @ m.T @ beta  # symplectic inverse, exact up to rounding
     g = m_inv.T @ state.g @ m_inv
     return GaussianState(0.5 * (g + g.T))
 
 
-def _vacuum_prob_from_variance(v, modes, mode_count):
-    rows = list(modes) + [m + mode_count for m in modes]
-    block = v[np.ix_(rows, rows)]
-    det = float(np.linalg.det(block + 0.5 * np.eye(len(rows))))
-    if det <= 0.0:
-        raise ValueError(f"vacuum-overlap determinant is {det}; state is invalid")
-    return 1.0 / math.sqrt(det)
-
-
 def vacuum_probability(state, modes):
     """Probability of finding vacuum in every listed mode."""
-    return _vacuum_prob_from_variance(variance_matrix(state), modes, state.mode_count)
+    rows = list(modes) + [m + state.mode_count for m in modes]
+    gram = variance_matrix(state) + 0.5 * np.eye(2 * state.mode_count)
+    return float(_vacuum_marginals(gram, np.array([rows]))[0])
 
 
 def _transmitted_rows(thetas, beam):

@@ -15,7 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import DensityOperator, OccupationState, enumerate_basis
-from .policy import DEFAULT_POLICY
+
+# largest residual a unitarity (U^dag U = I) or symplectic check accepts
+UNITARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -34,24 +36,24 @@ class PhaseOp:
     phase: float
 
 
-def check_unitary(matrix, policy=DEFAULT_POLICY):
+def check_unitary(matrix):
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     n = matrix.shape[0]
     residual = np.max(np.abs(matrix.conj().T @ matrix - np.eye(n)))
-    if residual > policy.unitarity_tol:
+    if residual > UNITARITY_TOL:
         raise ValueError(f"matrix is not unitary (residual {residual:.3e})")
     return matrix
 
 
-def decompose_passive(matrix, policy=DEFAULT_POLICY):
+def decompose_passive(matrix):
     """Factor a unitary into mixers and phases, in application order.
 
     Returns ops such that recompose(ops, n) reproduces the input. The
     identity decomposes to an empty list.
     """
-    work = check_unitary(matrix, policy).copy()
+    work = check_unitary(matrix).copy()
     n = work.shape[0]
     rotations = []
     for c in range(n - 1):
@@ -225,19 +227,19 @@ def _apply_ops(amplitudes, basis, ops):
     return amplitudes
 
 
-def apply_passive(state, matrix, policy=DEFAULT_POLICY):
+def apply_passive(state, matrix):
     """Apply a passive unitary to a pure state or density operator.
 
     Photon number is conserved, so the action is exact within every
     total-photon shell and the truncation tail is unchanged. Coherent
     states map as z -> matrix z.
     """
-    matrix = check_unitary(matrix, policy)
+    matrix = check_unitary(matrix)
     if matrix.shape[0] != state.mode_count:
         raise ValueError(
             f"matrix acts on {matrix.shape[0]} modes, state has {state.mode_count}"
         )
-    ops = decompose_passive(matrix, policy)
+    ops = decompose_passive(matrix)
     if isinstance(state, OccupationState):
         amp = _apply_ops(state.amplitudes, state.basis, ops)
         return OccupationState(state.basis, amp, state.truncation_tail)
@@ -245,7 +247,7 @@ def apply_passive(state, matrix, policy=DEFAULT_POLICY):
     full = _apply_ops(half.conj().T, state.basis, ops).conj().T
     # rounding can leave a ~1e-16 hermiticity residual; symmetrize it away
     full = 0.5 * (full + full.conj().T)
-    return DensityOperator(state.basis, full, state.truncation_tail, policy)
+    return DensityOperator(state.basis, full, state.truncation_tail)
 
 
 def squeezed_vacuum_amplitudes(u, cutoff):

@@ -29,19 +29,15 @@ class ConfigError(BellSimError):
 
 @dataclass(frozen=True)
 class NumericalPolicy:
-    """Tolerances applied by validation checks.
+    """The tolerances and limits a run can override from its config file.
 
-    One instance is threaded through every operation that enforces a
-    numerical contract, so a single override changes the whole stack.
+    The fixed tolerances of the structural checks (hermiticity, trace,
+    unitarity, the squeezing margin) are module constants beside those checks.
     """
 
-    hermiticity_tol: float = 1e-10
-    trace_tol: float = 1e-10
-    unitarity_tol: float = 1e-10
     coherent_tail_tol: float = 1e-8
     verdict_tol: float = 1e-9
     squeeze_limit: float = 5.0
-    squeezed_eig_margin: float = 1e-12
     max_dimension: int = 2_000_000
 
     def __post_init__(self):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -406,7 +407,9 @@ def test_negative_policy_values_are_refused(tmp_path, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert "verdict: not violated" in out
-    for name in ("verdict_tol", "max_dimension", "squeeze_limit", "trace_tol"):
+    names = ("verdict_tol", "max_dimension", "squeeze_limit", "coherent_tail_tol")
+    assert {field.name for field in dataclasses.fields(NumericalPolicy)} == set(names)
+    for name in names:
         with pytest.raises(ValueError, match=name):
             NumericalPolicy(**{name: -1})
     with pytest.raises(ValueError):
@@ -531,6 +534,26 @@ def test_run_with_the_fock_engine_on_a_mixture_reports_its_tail(tmp_path, capsys
     for name in ("p_tt", "p_t_any", "p_any_t", "p_any_any"):
         gap = abs(float(rows["fock"][name]) - float(rows["analytic"][name]))
         assert gap <= tail + 1e-12
+
+
+@pytest.mark.parametrize("command", ["run", "scan"])
+@pytest.mark.parametrize(
+    "mixture",
+    [
+        {"kind": "mixture", "weights": [1.0], "components": [[math.inf, 0, 0, 0]]},
+        {"kind": "mixture", "weights": [0.5, math.nan],
+         "components": [[0.1, 0, 0, 0], [0, 0, 0.2, 0]]},
+    ],
+    ids=["infinite_amplitude", "nan_weight"],
+)
+def test_a_non_finite_mixture_is_an_error(command, mixture, capsys):
+    argv = [command, "--state", json.dumps(mixture)]
+    if command == "run":
+        argv += ["--angles", "0.1,0.2,0.3,0.4"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: mixture weights and amplitudes must be finite\n"
 
 
 def test_scan_with_the_fock_engine_on_a_mixture_is_an_error(capsys):
@@ -681,6 +704,10 @@ def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
         {"policy": {"purity_tol": 1e-9}},
         {"policy": {"norm_tol": 1e-9}},
         {"policy": {"imag_tol": 1e-9}},
+        {"policy": {"hermiticity_tol": 1e-10}},
+        {"policy": {"trace_tol": 1e-10}},
+        {"policy": {"unitarity_tol": 1e-10}},
+        {"policy": {"squeezed_eig_margin": 1e-12}},
         {"policy": {"max_dimension": [10]}},
         {"policy": {"verdict_tol": -1e-9}},
         {"policy": {"max_dimension": -1}},
@@ -693,6 +720,7 @@ def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
         {"sweep": {"kappas": [True]}},
         {"angles": 5},
         {"angles": [0, 0, 0, [1]]},
+        {"angles": [True, 0, 0, 0]},
         {"out": 5},
     ],
     ids=lambda config: json.dumps(config),

@@ -93,6 +93,10 @@ def test_mixture_validation():
         coherent.ClassicalMixture(np.array([-0.2, 1.2]), [z, z])
     with pytest.raises(ValueError):
         coherent.ClassicalMixture(np.array([1.0]), [np.zeros(3, dtype=np.complex128)])
+    for weights, bad in (([1.0], math.inf), ([1.0], complex(0, math.nan)),
+                         ([0.5, math.nan], 0.1), ([math.inf, 0.5], 0.1)):
+        with pytest.raises(ValueError, match="must be finite"):
+            coherent.ClassicalMixture(np.array(weights), [[bad, 0, 0, 0], z][: len(weights)])
 
 
 def test_mixture_transformed_moves_components():
