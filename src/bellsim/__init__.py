@@ -32,7 +32,6 @@ _EXPORTS = {
         "partial_trace",
         "synthesize_coherent",
         "two_photon_state",
-        "vacuum_state",
     ),
     "linear_optics": (
         "MixerOp",
@@ -42,8 +41,6 @@ _EXPORTS = {
         "decompose_passive",
         "entangling_unitary",
         "polarizer_rotation",
-        "recompose",
-        "squeezed_vacuum_amplitudes",
     ),
     "detection": (
         "AngleSettings",

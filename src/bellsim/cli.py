@@ -83,7 +83,7 @@ def parse_angle(value):
     if isinstance(value, bool):  # JSON true/false is a wrong shape, not 1 or 0
         raise ConfigError(f"cannot parse angle {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _as_float(value, "angle")
     if not isinstance(value, str):
         raise ConfigError(f"cannot parse angle {value!r}")
     match = _PI_FRACTION.match(value)
@@ -164,7 +164,7 @@ def _as_list(value, context):
 def _complex_entry(value, context):
     """Read one amplitude given as a number or a [re, im] pair."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value, 0.0)
+        return complex(_as_float(value, context), 0.0)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_as_float(value[0], context), _as_float(value[1], context))
     raise ConfigError(f"{context}: expected a number or [re, im] pair, got {value!r}")
@@ -289,7 +289,7 @@ def _load_state_file(path, policy):
 
     Schema: {"mode_count": 4, "cutoff": N, "amplitudes": [{"occupation":
     [n1, n2, n3, n4], "re": x, "im": y}, ...]}. The vector is normalized
-    on load.
+    on load, at any scale; a non-finite re or im is an error.
     """
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
@@ -325,15 +325,16 @@ def _load_state_file(path, policy):
         if occ in seen:
             raise ConfigError(f"duplicate occupation {occ} in state file")
         seen.add(occ)
-        index = basis.index_of(occ)
-        vector[index] = complex(
-            _as_float(entry.get("re", 0.0), "amplitude re"),
-            _as_float(entry.get("im", 0.0), "amplitude im"),
+        vector[basis.index_of(occ)] = complex(
+            _as_finite(entry.get("re", 0.0), f"amplitude re of occupation {list(occ)}"),
+            _as_finite(entry.get("im", 0.0), f"amplitude im of occupation {list(occ)}"),
         )
-    norm = float(np.linalg.norm(vector))
-    if norm < 1e-12:
+    peak = np.max(np.abs(vector.view(np.float64)))
+    if peak == 0.0:
         raise ConfigError("state file holds a zero vector")
-    return fock.OccupationState(basis, vector / norm, 0.0)
+    # a power of two near the peak scales exactly, and keeps the norm finite
+    vector = np.ldexp(vector.view(np.float64), -math.frexp(peak)[1]).view(np.complex128)
+    return fock.OccupationState(basis, vector / np.linalg.norm(vector), 0.0)
 
 
 def _resolve_engine(config):

@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .fock import DensityOperator, OccupationState, partial_trace
-from .linear_optics import apply_passive, polarizer_rotation
+from .linear_optics import apply_passive, polarizer_rotation, su2_shells
 from .policy import DEFAULT_POLICY
 
 BEAM_ONE = (0, 1)
@@ -65,9 +65,6 @@ class AngleSettings:
     def __post_init__(self):
         for name in ("theta1", "theta2", "theta1_alt", "theta2_alt"):
             object.__setattr__(self, name, canonical_angle(getattr(self, name)))
-
-    def as_tuple(self):
-        return (self.theta1, self.theta2, self.theta1_alt, self.theta2_alt)
 
     def beam_grids(self):
         """The 2x2 setting grid: ((theta1, theta1'), (theta2, theta2'))."""
@@ -126,16 +123,12 @@ def _polarizer_vectors(thetas, cutoff):
     In the N-photon block of a beam, with k photons in the beam's first
     mode, V[N, t] is the state whose N photons all sit in the mode the
     polarizer at theta_t blocks, sin(t) a_i^dag + cos(t) a_j^dag; it is
-    orthogonal to the transmitted mode cos(t) a_i - sin(t) a_j.
+    orthogonal to the transmitted mode cos(t) a_i - sin(t) a_j. It is
+    a_j^dag^N |0> / sqrt(N!) under R(theta_t)^T: column 0 of its shells.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    n = np.arange(cutoff + 1)
-    # math.comb is 0 for k > N, which zeroes the entries past the block
-    root_binom = np.sqrt([[float(math.comb(big, k)) for k in n] for big in n])
-    sin_pow = np.sin(thetas)[None, :, None] ** n[None, None, :]
-    cos_exponent = np.maximum(n[:, None] - n[None, :], 0)
-    cos_pow = np.cos(thetas)[None, :, None] ** cos_exponent[:, None, :]
-    return root_binom[:, None, :] * sin_pow * cos_pow
+    c, s = np.cos(thetas), np.sin(thetas)
+    transposed = np.array([[c, s], [-s, c]]).transpose(2, 0, 1)
+    return su2_shells(transposed, cutoff, columns=1)[..., 0]
 
 
 def _beam_blocks(state):

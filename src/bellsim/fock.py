@@ -45,10 +45,6 @@ class FockBasis:
     def size(self):
         return self.occupations.shape[0]
 
-    @property
-    def totals(self):
-        return self.occupations.sum(axis=1)
-
     def index_of(self, occupation):
         return self.index[tuple(int(n) for n in occupation)]
 
@@ -114,20 +110,6 @@ class OccupationState:
     def cutoff(self):
         return self.basis.cutoff
 
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self):
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return OccupationState(self.basis, self.amplitudes / n, self.truncation_tail)
-
-    def overlap(self, other):
-        if other.basis is not self.basis:
-            raise ValueError("states live on different bases")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_density_operator(self):
         return DensityOperator(
             self.basis,
@@ -166,13 +148,6 @@ class DensityOperator:
     @property
     def cutoff(self):
         return self.basis.cutoff
-
-
-def vacuum_state(mode_count, cutoff, policy=DEFAULT_POLICY):
-    basis = enumerate_basis(mode_count, cutoff, policy)
-    amp = np.zeros(basis.size, dtype=np.complex128)
-    amp[0] = 1.0
-    return OccupationState(basis, amp)
 
 
 def number_state(occupation, cutoff, policy=DEFAULT_POLICY):

@@ -246,9 +246,8 @@ def rate_tables(v, thetas1, thetas2):
     return p_tt, p_t_any, p_any_t, p_any_any
 
 
-def coincidence_probability(state, theta1, theta2):
-    """Joint rate P(theta1, theta2); None removes that polarizer."""
-    return detection.single_rate(detection.state_tables(state)[0], theta1, theta2)
+# the rate of any engine's state; bound here for callers of the Gaussian module
+coincidence_probability = detection.coincidence_probability
 
 
 def _coupled_beam_blocks(coupling, top):

@@ -1,4 +1,4 @@
-"""Passive linear transformations on Fock states, and the squeezed-vacuum series.
+"""Passive linear transformations on Fock states.
 
 A passive n x n unitary U acts on coherent amplitudes as z -> U z. On the
 truncated Fock space it is realized exactly, shell by shell, as a product
@@ -50,7 +50,7 @@ def check_unitary(matrix):
 def decompose_passive(matrix):
     """Factor a unitary into mixers and phases, in application order.
 
-    Returns ops such that recompose(ops, n) reproduces the input. The
+    Returns ops whose product, applied in order, reproduces the input. The
     identity decomposes to an empty list.
     """
     work = check_unitary(matrix).copy()
@@ -74,21 +74,6 @@ def decompose_passive(matrix):
     for c, r, g in reversed(rotations):
         ops.append(MixerOp(modes=(c, r), matrix=g.conj().T))
     return ops
-
-
-def recompose(ops, mode_count):
-    """Multiply elementary ops (in application order) back into a matrix."""
-    out = np.eye(mode_count, dtype=np.complex128)
-    for op in ops:
-        if isinstance(op, PhaseOp):
-            embedded = np.eye(mode_count, dtype=np.complex128)
-            embedded[op.mode, op.mode] = np.exp(1j * op.phase)
-        else:
-            i, j = op.modes
-            embedded = np.eye(mode_count, dtype=np.complex128)
-            embedded[np.ix_([i, j], [i, j])] = op.matrix
-        out = embedded @ out
-    return out
 
 
 def polarizer_rotation(theta, modes=(0, 1), mode_count=None):
@@ -166,48 +151,62 @@ def _pair_layout(mode_count, cutoff, i, j):
     return layout
 
 
-def _mixer_block(u2, total):
-    """Fock matrix of a 2x2 mixer on the total-photon-(total) shell.
+@lru_cache(maxsize=None)
+def _shell_steps(top, columns):
+    """Constants of one :func:`su2_shells` step: (pick, scale, rows, cols).
 
-    Entry [m', m] is the amplitude to go from m photons in the first mode
-    to m', obtained from the binomial expansion of the transformed creation
-    operators.
+    Term s (a^dag, then b^dag) of column m in shell N is u[s, pick[m]] *
+    scale[N, s, k, m] times entry [rows[s, k], cols[m]] of shell N - 1.
+    Row -1 is the zero padding row of every shell below top.
     """
-    a, b = u2[0, 0], u2[0, 1]
-    c, d = u2[1, 0], u2[1, 1]
-    block = np.zeros((total + 1, total + 1), dtype=np.complex128)
-    lg = [math.lgamma(k + 1) for k in range(total + 1)]
-    for m in range(total + 1):
-        for mp in range(total + 1):
-            scale = math.exp(
-                0.5 * (lg[mp] + lg[total - mp] - lg[m] - lg[total - m])
-            )
-            acc = 0.0 + 0.0j
-            p_lo = max(0, mp - (total - m))
-            p_hi = min(m, mp)
-            for p in range(p_lo, p_hi + 1):
-                acc += (
-                    math.comb(m, p)
-                    * math.comb(total - m, mp - p)
-                    * a**p
-                    * c ** (m - p)
-                    * b ** (mp - p)
-                    * d ** (total - m - mp + p)
-                )
-            block[mp, m] = scale * acc
-    return block
+    side = top + 1
+    n = np.arange(side)
+    m = n[:columns]
+    root = np.sqrt(n)
+    column = np.zeros((side, m.size))  # 1/sqrt(N) for column 0, 1/sqrt(m) after
+    column[1:, 0] = 1.0 / root[1:]
+    column[:, 1:] = 1.0 / root[1 : m.size]
+    up = np.broadcast_to(root, (side, side))  # sqrt(k): a^dag lifts row k - 1 to k
+    down = np.sqrt(np.maximum(n[:, None] - n, 0))  # sqrt(N - k): b^dag keeps row k
+    scale = np.stack([up, down], axis=1)[..., None] * column[:, None, None, :]
+    pick = (m == 0).astype(np.intp)  # u01, u11 for column 0; u00, u10 after
+    rows = np.stack([n - 1, n])[:, :, None]
+    cols = np.maximum(m - 1, 0)
+    return pick, scale, rows, cols
+
+
+def su2_shells(u, top, columns=None):
+    """Fock matrices of a two-mode passive element, shell by shell.
+
+    ``u`` is a 2x2 unitary, sending a^dag to u00 a^dag + u10 b^dag and
+    b^dag to u01 a^dag + u11 b^dag. Returns D[N, m', m] for N = 0..top, the
+    amplitude to go from |m, N - m> to |m', N - m'>, zero for m or m'
+    above N; a stack (n, 2, 2) gives D[N, i, m', m]. Each shell adds one
+    creation operator to the one below: column 0 of shell N is column 0
+    of shell N - 1 acted on by (u01 a^dag + u11 b^dag)/sqrt(N), and column
+    m >= 1 is column m - 1 acted on by (u00 a^dag + u10 b^dag)/sqrt(m). So
+    the first ``columns`` columns (all by default) need no others, and
+    only they are built. A real ``u`` gives real shells.
+    """
+    u = np.asarray(u)
+    pick, scale, rows, cols = _shell_steps(top, columns)
+    factors = u.reshape(-1, 2, 2)[None, :, :, None, pick] * scale[:, None]  # [N, i, s, k, m]
+    shells = np.zeros(factors.shape[:2] + factors.shape[3:], dtype=factors.dtype)
+    shells[0, :, 0, 0] = 1.0
+    for big in range(1, top + 1):
+        terms = factors[big] * shells[big - 1][:, rows, cols]
+        np.add(terms[:, 0], terms[:, 1], out=shells[big])
+    return shells if u.ndim == 3 else shells[:, 0]
 
 
 def _apply_mixer(amplitudes, basis, op):
     i, j = op.modes
     layout = _pair_layout(basis.mode_count, basis.cutoff, i, j)
+    shells = su2_shells(op.matrix, basis.cutoff)
     out = np.empty_like(amplitudes)
     for total, block_idx in enumerate(layout):
-        if block_idx.size == 0:
-            continue
-        b = _mixer_block(op.matrix, total)
-        gathered = amplitudes[block_idx]
-        out[block_idx] = np.einsum("nm,gm...->gn...", b, gathered)
+        block = shells[total, : total + 1, : total + 1]
+        out[block_idx] = np.einsum("nm,gm...->gn...", block, amplitudes[block_idx])
     return out
 
 
@@ -249,18 +248,3 @@ def apply_passive(state, matrix):
     full = 0.5 * (full + full.conj().T)
     return DensityOperator(state.basis, full, state.truncation_tail)
 
-
-def squeezed_vacuum_amplitudes(u, cutoff):
-    """Number-basis amplitudes of a single-mode squeezed vacuum.
-
-    c_{2m} = (1/sqrt(cosh u)) (-tanh u)^m sqrt((2m)!) / (2^m m!), zero on
-    odd photon numbers; truncated at the cutoff.
-    """
-    amp = np.zeros(cutoff + 1, dtype=np.complex128)
-    c = 1.0 / math.sqrt(math.cosh(u))
-    amp[0] = c
-    t = math.tanh(u)
-    for m in range(1, cutoff // 2 + 1):
-        c *= -t * math.sqrt((2 * m - 1) / (2 * m))
-        amp[2 * m] = c
-    return amp

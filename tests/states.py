@@ -1,0 +1,49 @@
+"""Fock-state helpers the tests share; the package itself needs none of them."""
+
+import math
+
+import numpy as np
+
+from bellsim import fock
+
+
+def vacuum_state(mode_count, cutoff):
+    return fock.number_state((0,) * mode_count, cutoff)
+
+
+def totals(basis):
+    """Total photon number of every basis state."""
+    return basis.occupations.sum(axis=1)
+
+
+def norm(state):
+    return float(np.linalg.norm(state.amplitudes))
+
+
+def normalized(state):
+    n = norm(state)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return fock.OccupationState(state.basis, state.amplitudes / n, state.truncation_tail)
+
+
+def overlap(state, other):
+    if other.basis is not state.basis:
+        raise ValueError("states live on different bases")
+    return complex(np.vdot(state.amplitudes, other.amplitudes))
+
+
+def squeezed_vacuum_amplitudes(u, cutoff):
+    """Number-basis amplitudes of a single-mode squeezed vacuum.
+
+    c_{2m} = (1/sqrt(cosh u)) (-tanh u)^m sqrt((2m)!) / (2^m m!), zero on
+    odd photon numbers; truncated at the cutoff.
+    """
+    amp = np.zeros(cutoff + 1, dtype=np.complex128)
+    c = 1.0 / math.sqrt(math.cosh(u))
+    amp[0] = c
+    t = math.tanh(u)
+    for m in range(1, cutoff // 2 + 1):
+        c *= -t * math.sqrt((2 * m - 1) / (2 * m))
+        amp[2 * m] = c
+    return amp

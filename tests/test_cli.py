@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import states
 from bellsim import ConfigError, NumericalPolicy, cli, detection, fock
 
 
@@ -56,7 +57,7 @@ def test_run_vacuum_is_not_violated(capsys):
 
 @pytest.mark.parametrize("engine", ["fock", "analytic"])
 def test_vacuum_upper_margin_is_positive_zero(engine, tmp_path, capsys):
-    report = detection.ch_functional(fock.vacuum_state(4, 2), detection.AngleSettings(0, 0, 0, 0))
+    report = detection.ch_functional(states.vacuum_state(4, 2), detection.AngleSettings(0, 0, 0, 0))
     assert report.upper_margin == 0.0
     assert math.copysign(1.0, report.upper_margin) == 1.0
     argv = ["run", "--state", "vacuum", "--angles", "0,0,0,0", "--engine", engine]
@@ -200,6 +201,42 @@ def test_state_file_round_trip(tmp_path, capsys):
     )
     assert code == 0
     assert "f = 0.207106781187" in out
+
+
+def two_photon_file(tmp_path, re, im=0.0):
+    """A state file holding (|1,0,0,1> + |0,1,1,0>) scaled by re + i im."""
+    payload = {
+        "mode_count": 4,
+        "cutoff": 2,
+        "amplitudes": [
+            {"occupation": [1, 0, 0, 1], "re": re, "im": im},
+            {"occupation": [0, 1, 1, 0], "re": re, "im": im},
+        ],
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    return json.dumps({"kind": "file", "path": str(path)})
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-13, 5e-324])
+def test_state_file_normalization_does_not_depend_on_scale(scale, tmp_path, capsys):
+    state_arg = two_photon_file(tmp_path, scale, scale)
+    code, out, err = run_cli(["run", "--state", state_arg, "--angles", "pi/8,pi/4,3pi/8,0"], capsys)
+    assert (code, err) == (0, "")
+    assert "f = 0.207106781187" in out
+    assert "verdict: violated" in out
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_state_file_amplitudes_are_errors(part, value, tmp_path, capsys):
+    state_arg = two_photon_file(tmp_path, **{"re": 1.0, part: value})
+    code, out, err = run_cli(["run", "--state", state_arg, "--angles", "0,0,0,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: amplitude {part} of occupation [1, 0, 0, 1] must be finite, got {value!r}\n"
+    )
 
 
 def test_state_file_validation(tmp_path, capsys):
@@ -645,7 +682,7 @@ def test_package_exports_resolve_on_first_use():
     namespace = {}
     exec("from bellsim import *", namespace)
     assert set(bellsim.__all__) <= set(namespace)
-    assert namespace["vacuum_state"] is fock.vacuum_state
+    assert namespace["number_state"] is fock.number_state
     with pytest.raises(AttributeError):
         bellsim.no_such_name
     with pytest.raises(AttributeError):
@@ -721,14 +758,18 @@ def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
         {"angles": 5},
         {"angles": [0, 0, 0, [1]]},
         {"angles": [True, 0, 0, 0]},
+        {"angles": [10**400, 0, 0, 0]},
+        {"state": {"kind": "coherent", "z": [10**400, 0, 0, 0]}},
         {"out": 5},
     ],
-    ids=lambda config: json.dumps(config),
+    ids=lambda config: json.dumps(config)[:80],
 )
 def test_malformed_config_shapes_are_errors(config, tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
-    argv = ["run", "--config", str(path), "--state", "two_photon"]
+    argv = ["run", "--config", str(path)]
+    if "state" not in config:
+        argv += ["--state", "two_photon"]
     if "angles" not in config:
         argv += ["--angles", "0,0,0,0"]
     code, out, err = run_cli(argv, capsys)

@@ -1,5 +1,6 @@
 """Tests for the closed-form coherent rates and the classical mixtures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -151,7 +152,7 @@ def reference_trial(seed, trial):
     rng = np.random.default_rng([seed, trial])
     mixture = coherent.random_mixture(rng).transformed(coherent.haar_unitary(rng))
     angles = AngleSettings(*rng.uniform(0.0, np.pi, size=4))
-    t1, t2, t1a, t2a = angles.as_tuple()
+    t1, t2, t1a, t2a = dataclasses.astuple(angles)
 
     def rate(a, b):
         return pointwise_rate(mixture, a, b)

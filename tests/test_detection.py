@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
+import states
 from bellsim import coherent, detection, fock, gaussian
 from bellsim.detection import (
     INCONCLUSIVE,
@@ -89,7 +90,7 @@ def test_rates_match_dense_reference_on_a_messy_state():
     cutoff = 3
     basis = fock.enumerate_basis(4, cutoff)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    state = fock.OccupationState(basis, amps).normalized()
+    state = states.normalized(fock.OccupationState(basis, amps))
     vec = oracle.from_graded(state)
     for t1, t2 in [(0.3, 1.2), (2.0, 0.1)]:
         got = detection.coincidence_probability(state, t1, t2)
@@ -166,7 +167,7 @@ def test_report_from_tables_classifies_verdicts():
     angles = AngleSettings(0.0, 0.1, 0.2, 0.3)
 
     # saturated bounds hold: the vacuum gives f = 0 exactly
-    report = fock_report(fock.vacuum_state(4, 2), angles)
+    report = fock_report(states.vacuum_state(4, 2), angles)
     assert report.verdict == NOT_VIOLATED
     assert report.f == 0.0
 
@@ -203,7 +204,7 @@ def test_angle_scan_finds_the_two_photon_peak():
 
 
 def test_angle_scan_on_vacuum_is_flat():
-    result = detection.angle_scan(fock.vacuum_state(4, 2), grid_density=4)
+    result = detection.angle_scan(states.vacuum_state(4, 2), grid_density=4)
     assert abs(result.f) < 1e-12
 
 

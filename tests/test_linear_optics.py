@@ -1,17 +1,82 @@
 """Tests for passive transformations and the squeezed-vacuum series."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
+import states
 from bellsim import fock, linear_optics
 from bellsim.coherent import haar_unitary
+from bellsim.detection import _polarizer_vectors
+
+
+def recompose(ops, mode_count):
+    """Multiply elementary ops (in application order) back into a matrix."""
+    out = np.eye(mode_count, dtype=np.complex128)
+    for op in ops:
+        if isinstance(op, linear_optics.PhaseOp):
+            embedded = np.eye(mode_count, dtype=np.complex128)
+            embedded[op.mode, op.mode] = np.exp(1j * op.phase)
+        else:
+            i, j = op.modes
+            embedded = np.eye(mode_count, dtype=np.complex128)
+            embedded[np.ix_([i, j], [i, j])] = op.matrix
+        out = embedded @ out
+    return out
+
+
+def mixer_block(u2, total):
+    """Fock matrix of a 2x2 mixer on the total-photon-(total) shell.
+
+    Entry [m', m] is the amplitude to go from m photons in the first mode
+    to m', obtained from the binomial expansion of the transformed creation
+    operators.
+    """
+    a, b = u2[0, 0], u2[0, 1]
+    c, d = u2[1, 0], u2[1, 1]
+    block = np.zeros((total + 1, total + 1), dtype=np.complex128)
+    lg = [math.lgamma(k + 1) for k in range(total + 1)]
+    for m in range(total + 1):
+        for mp in range(total + 1):
+            scale = math.exp(
+                0.5 * (lg[mp] + lg[total - mp] - lg[m] - lg[total - m])
+            )
+            acc = 0.0 + 0.0j
+            p_lo = max(0, mp - (total - m))
+            p_hi = min(m, mp)
+            for p in range(p_lo, p_hi + 1):
+                acc += (
+                    math.comb(m, p)
+                    * math.comb(total - m, mp - p)
+                    * a**p
+                    * c ** (m - p)
+                    * b ** (mp - p)
+                    * d ** (total - m - mp + p)
+                )
+            block[mp, m] = scale * acc
+    return block
+
+
+def closed_form_polarizer_vectors(thetas, cutoff):
+    """V[N, t, k] = sqrt(C(N, k)) sin^k(theta_t) cos^(N-k)(theta_t), 0 for k > N."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    n = np.arange(cutoff + 1)
+    # math.comb is 0 for k > N, which zeroes the entries past the block
+    root_binom = np.sqrt([[float(math.comb(big, k)) for k in n] for big in n])
+    sin_pow = np.sin(thetas)[None, :, None] ** n[None, None, :]
+    cos_exponent = np.maximum(n[:, None] - n[None, :], 0)
+    cos_pow = np.cos(thetas)[None, :, None] ** cos_exponent[:, None, :]
+    return root_binom[:, None, :] * sin_pow * cos_pow
 
 
 def random_state(rng, modes, cutoff):
     basis = fock.enumerate_basis(modes, cutoff)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    return fock.OccupationState(basis, amps).normalized()
+    return states.normalized(fock.OccupationState(basis, amps))
 
 
 def test_decompose_recompose_round_trip():
@@ -19,7 +84,7 @@ def test_decompose_recompose_round_trip():
     for n in (2, 3, 4):
         u = haar_unitary(rng, n)
         ops = linear_optics.decompose_passive(u)
-        back = linear_optics.recompose(ops, n)
+        back = recompose(ops, n)
         assert np.max(np.abs(back - u)) < 1e-12
 
 
@@ -66,9 +131,9 @@ def test_apply_passive_preserves_shells_and_norm():
     state = random_state(rng, 3, 5)
     u = haar_unitary(rng, 3)
     out = linear_optics.apply_passive(state, u)
-    assert abs(out.norm() - 1.0) < 1e-12
+    assert abs(states.norm(out) - 1.0) < 1e-12
     for total in range(6):
-        mask = state.basis.totals == total
+        mask = states.totals(state.basis) == total
         before = np.sum(np.abs(state.amplitudes[mask]) ** 2)
         after = np.sum(np.abs(out.amplitudes[mask]) ** 2)
         assert abs(before - after) < 1e-12
@@ -135,7 +200,7 @@ def test_check_unitary_tolerance():
 
 def test_squeezed_vacuum_amplitudes_closed_form():
     u = 0.7
-    amps = linear_optics.squeezed_vacuum_amplitudes(u, 12)
+    amps = states.squeezed_vacuum_amplitudes(u, 12)
     # even terms only, c_{2m} = (-tanh u)^m sqrt((2m)!)/(2^m m!) / sqrt(cosh u)
     assert abs(amps[0] - 1.0 / np.sqrt(np.cosh(u))) < 1e-14
     assert np.max(np.abs(amps[1::2])) == 0.0
@@ -165,3 +230,33 @@ def test_mixer_matches_dense_on_two_modes():
     got = linear_optics.apply_passive(state, u2)
     want = oracle.passive_op(u2, 5) @ oracle.from_graded(state)
     assert np.max(np.abs(oracle.from_graded(got) - want)) < 1e-11
+
+
+def haar_pair(seed):
+    rng = np.random.default_rng(seed)
+    return haar_unitary(rng, 2), haar_unitary(rng, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    thetas=st.lists(st.floats(min_value=-7.0, max_value=7.0), min_size=1, max_size=5),
+    top=st.integers(min_value=0, max_value=16),
+)
+def test_su2_shells_match_the_binomial_expansion(seed, thetas, top):
+    u, v = haar_pair(seed)
+    shells = linear_optics.su2_shells(u, top)
+    product = linear_optics.su2_shells(u @ v, top)
+    right = linear_optics.su2_shells(v, top)
+    for n in range(top + 1):
+        block = shells[n, : n + 1, : n + 1]
+        assert np.max(np.abs(block - mixer_block(u, n))) < 1e-13
+        assert np.max(np.abs(block.conj().T @ block - np.eye(n + 1))) < 1e-13
+        assert not shells[n, n + 1 :].any() and not shells[n, :, n + 1 :].any()
+        assert np.max(np.abs(product[n] - shells[n] @ right[n])) < 1e-13
+    c, s = np.cos(thetas), np.sin(thetas)
+    transposed = np.array([[c, s], [-s, c]]).transpose(2, 0, 1)  # R(theta)^T
+    columns = linear_optics.su2_shells(transposed, top)[..., 0]
+    want = closed_form_polarizer_vectors(thetas, top)
+    assert np.max(np.abs(columns - want)) < 1e-13
+    assert np.max(np.abs(_polarizer_vectors(thetas, top) - want)) < 1e-13

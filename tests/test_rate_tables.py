@@ -1,5 +1,6 @@
 """Tests for the batched rate tables of every engine and the scan maximum."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import states
 from bellsim import coherent, detection, fock, gaussian, linear_optics
 from bellsim.detection import AngleSettings
 
@@ -20,7 +22,7 @@ def state_rate_tables(state, thetas1, thetas2):
 def random_pure_state(rng, cutoff):
     basis = fock.enumerate_basis(4, cutoff)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    return fock.OccupationState(basis, amps).normalized()
+    return states.normalized(fock.OccupationState(basis, amps))
 
 
 @pytest.fixture
@@ -250,7 +252,7 @@ def test_batched_sweep_matches_the_per_point_formula():
         v = gaussian.variance_matrix(
             gaussian.build_squeezed_thermal(gaussian.SqueezedThermalSpec(u, v_param, kappa))
         )
-        t1, t2, t1a, t2a = angles.as_tuple()
+        t1, t2, t1a, t2a = dataclasses.astuple(angles)
         rate = lambda a, b: reference_gaussian_rate(v, a, b)
         f = (
             rate(t1, t2) - rate(t1, t2a) + rate(t1a, t2) + rate(t1a, t2a)

@@ -1,11 +1,13 @@
 """The compass-scan polish of ``scan --refine`` against a Nelder-Mead reference."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize
 
+import states
 from bellsim import coherent, detection, fock, gaussian
 
 TWO_PHOTON_MAX_F = (math.sqrt(2.0) - 1.0) / 2.0
@@ -29,7 +31,7 @@ def nelder_mead_reference(report, start, grid_f):
 def random_pure_state(rng, cutoff):
     basis = fock.enumerate_basis(4, cutoff)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    return fock.OccupationState(basis, amps).normalized()
+    return states.normalized(fock.OccupationState(basis, amps))
 
 
 def fock_case(seed, cutoff):
@@ -86,7 +88,7 @@ KNOWN_SHORTFALLS = {"squeezed_ridge_grid8"}
 
 
 def gradient(report, angles, eps=1e-5):
-    x = np.asarray(angles.as_tuple())
+    x = np.asarray(dataclasses.astuple(angles))
     return np.array([
         (report(detection.AngleSettings(*(x + eps * e))).f
          - report(detection.AngleSettings(*(x - eps * e))).f) / (2 * eps)
@@ -108,7 +110,7 @@ def test_compass_polish_matches_or_beats_nelder_mead(name):
     refined = detection.angle_scan(state, grid_density=grid_density, refine=True)
     assert refined.refined and refined.grid_f == grid.grid_f
     assert refined.f >= refined.grid_f
-    reference = nelder_mead_reference(report, grid.angles.as_tuple(), grid.grid_f)
+    reference = nelder_mead_reference(report, dataclasses.astuple(grid.angles), grid.grid_f)
     assert refined.f >= reference - 1e-10
     # the reported f is the CH functional at the returned angles, a local maximum
     assert abs(report(refined.angles).f - refined.f) < 1e-12

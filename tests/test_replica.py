@@ -8,14 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import states
 from bellsim import DEFAULT_POLICY, DimensionLimitError, NumericalPolicy, fock, gaussian
 from bellsim.gaussian import SqueezedThermalSpec, _squeeze_q_exponents
-from bellsim.linear_optics import (
-    apply_passive,
-    beam_wiring,
-    entangling_unitary,
-    squeezed_vacuum_amplitudes,
-)
+from bellsim.linear_optics import apply_passive, beam_wiring, entangling_unitary
 
 
 def apply_single_mode_squeeze(state, mode, u, policy=DEFAULT_POLICY):
@@ -35,12 +31,12 @@ def apply_single_mode_squeeze(state, mode, u, policy=DEFAULT_POLICY):
     if np.any(occupied):
         raise ValueError(f"mode {mode} is not in the vacuum; cannot squeeze it")
 
-    series = squeezed_vacuum_amplitudes(u, basis.cutoff)
+    series = states.squeezed_vacuum_amplitudes(u, basis.cutoff)
     weights = np.abs(series) ** 2
     # residual weight of the squeeze series past each even photon count
     residual_past = 1.0 - np.cumsum(weights)
 
-    totals = basis.totals
+    totals = states.totals(basis)
     out = np.zeros_like(state.amplitudes)
     dropped = 0.0
     src = np.nonzero(np.abs(state.amplitudes) > 0)[0]
@@ -58,7 +54,7 @@ def apply_single_mode_squeeze(state, mode, u, policy=DEFAULT_POLICY):
 def test_single_mode_squeeze_matches_dense_exponential():
     u = 0.4
     cap = 30
-    state = fock.vacuum_state(1, cap)
+    state = states.vacuum_state(1, cap)
     got = apply_single_mode_squeeze(state, 0, u)
     want = oracle.squeeze_op(u, 0, 1, cap) @ oracle.ket((0,), cap)
     # the dense exponential feels its own truncation near the cap, so use a
@@ -67,7 +63,7 @@ def test_single_mode_squeeze_matches_dense_exponential():
 
 
 def test_squeeze_acts_on_the_requested_mode_only():
-    state = fock.vacuum_state(2, 8)
+    state = states.vacuum_state(2, 8)
     out = apply_single_mode_squeeze(state, 1, 0.5)
     for idx in np.flatnonzero(np.abs(out.amplitudes) > 1e-14):
         occ = out.basis.occupations[idx]
@@ -80,12 +76,12 @@ def test_squeeze_preconditions():
     with pytest.raises(ValueError):
         apply_single_mode_squeeze(occupied, 0, 0.3)
     with pytest.raises(ValueError):
-        apply_single_mode_squeeze(fock.vacuum_state(1, 4), 0, 7.0)
+        apply_single_mode_squeeze(states.vacuum_state(1, 4), 0, 7.0)
 
 
 def dense_replica(spec, cutoff):
     """The replica built step by step: squeeze each mode of the vacuum, then mix."""
-    state = fock.vacuum_state(4, cutoff)
+    state = states.vacuum_state(4, cutoff)
     for mode, w in enumerate(_squeeze_q_exponents(spec.u, spec.v)):
         if w != 0.0:
             state = apply_single_mode_squeeze(state, mode, float(w))
@@ -144,7 +140,7 @@ def test_replica_amplitudes_lie_on_equal_beam_blocks():
     occ = state.basis.occupations
     off_block = occ[:, 0] + occ[:, 1] != occ[:, 2] + occ[:, 3]
     assert np.all(state.amplitudes[off_block] == 0.0)
-    assert abs(state.norm() ** 2 + state.truncation_tail - 1.0) < 1e-15
+    assert abs(states.norm(state) ** 2 + state.truncation_tail - 1.0) < 1e-15
 
 
 def test_replica_guards():
