@@ -25,12 +25,14 @@ _EXPORTS = {
     "fock": (
         "DensityOperator",
         "FockBasis",
+        "MixedState",
         "OccupationState",
         "coherent_required_cutoff",
         "enumerate_basis",
         "number_state",
         "partial_trace",
         "synthesize_coherent",
+        "synthesize_coherent_mixture",
         "two_photon_state",
     ),
     "linear_optics": (

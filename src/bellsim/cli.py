@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+import typing
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS):
@@ -30,26 +31,7 @@ _PI_FRACTION = re.compile(
     re.IGNORECASE,
 )
 
-_STATE_KEYS = {
-    "two_photon": {"kind"},
-    "vacuum": {"kind"},
-    "coherent": {"kind", "z"},
-    "mixture": {"kind", "weights", "components"},
-    "squeezed_thermal": {"kind", "u", "v", "kappa"},
-    "file": {"kind", "path"},
-}
-# every allowed field is required except these
-_STATE_OPTIONAL = {"kappa"}
 _ENGINES = ("fock", "gaussian", "analytic", "both")
-# the engines that can evaluate each state kind; the first is the default
-_STATE_ENGINES = {
-    "two_photon": ("fock",),
-    "file": ("fock",),
-    "vacuum": ("analytic", "fock"),
-    "coherent": ("analytic", "fock"),
-    "mixture": ("analytic", "fock"),
-    "squeezed_thermal": ("gaussian", "fock", "both"),
-}
 _POLICY_KEYS = {f.name for f in dataclasses.fields(NumericalPolicy)}
 _SWEEP_KEYS = {"u_start", "u_stop", "u_step", "scenarios", "kappas"}
 _CONFIG_KEYS = {
@@ -276,22 +258,25 @@ def _normalize_state(spec):
     if not isinstance(spec, dict):
         raise ConfigError(f"state must be a name or an object, got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind not in _STATE_KEYS:
-        known = ", ".join(sorted(_STATE_KEYS))
+    if kind not in _KINDS:
+        known = ", ".join(sorted(_KINDS))
         raise ConfigError(f"unknown state kind {kind!r} (expected one of: {known})")
-    allowed = _STATE_KEYS[kind]
-    _check_keys(spec, allowed, f"state[{kind}]", required=allowed - _STATE_OPTIONAL)
+    row = _KINDS[kind]
+    required = {"kind", *row.required}
+    _check_keys(spec, required | set(row.optional), f"state[{kind}]", required=required)
     return spec
 
 
-def _load_state_file(path, policy):
-    """Read a pure four-mode state from its JSON description.
+def _state_file(spec, engine, config):
+    """Read a pure four-mode state from the JSON file at spec["path"].
 
     Schema: {"mode_count": 4, "cutoff": N, "amplitudes": [{"occupation":
     [n1, n2, n3, n4], "re": x, "im": y}, ...]}. The vector is normalized
     on load, at any scale; a non-finite re or im is an error.
     """
-    with open(path, encoding="utf-8") as handle:
+    if not isinstance(spec["path"], str):
+        raise ConfigError(f"state file path: expected a string, got {spec['path']!r}")
+    with open(spec["path"], encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ConfigError("state file must hold a JSON object")
@@ -306,7 +291,7 @@ def _load_state_file(path, policy):
     cutoff = _as_int(data["cutoff"], "state file cutoff")
     if not isinstance(data["amplitudes"], list):
         raise ConfigError("state file amplitudes must be a list")
-    basis = fock.enumerate_basis(4, cutoff, policy)
+    basis = fock.enumerate_basis(4, cutoff, config.policy)
     vector = np.zeros(basis.size, dtype=np.complex128)
     seen = set()
     for entry in data["amplitudes"]:
@@ -337,33 +322,16 @@ def _load_state_file(path, policy):
     return fock.OccupationState(basis, vector / np.linalg.norm(vector), 0.0)
 
 
-def _resolve_engine(config):
-    """Pick the evaluation path for the configured state."""
-    if config.state is None:
-        raise ConfigError("a state is required (set state in the config or --state)")
-    kind = config.state["kind"]
-    allowed = _STATE_ENGINES[kind]
-    engine = config.engine or allowed[0]
-    if engine not in allowed:
-        raise ConfigError(
-            f"engine {engine!r} cannot evaluate state kind {kind!r} "
-            f"(engines for {kind}: {', '.join(allowed)})"
-        )
-    if kind == "squeezed_thermal":
-        kappa = _as_float(config.state.get("kappa", 1.0), "kappa")
-        if engine in ("fock", "both") and kappa != 1.0:
-            raise ConfigError(f"engine {engine!r} needs kappa = 1 for the Fock replica")
-    return engine
+def _coherent(spec, engine, config):
+    # the vacuum is the coherent state with every amplitude zero
+    z = _amplitude_list(spec.get("z", [0, 0, 0, 0]), "coherent z")
+    amplitudes = coherent.CoherentAmplitudes(np.asarray(z))
+    if engine == "fock":
+        return fock.synthesize_coherent(amplitudes.z, config.cutoff, config.policy)
+    return amplitudes
 
 
-def _coherent_amplitudes(spec):
-    if spec["kind"] == "vacuum":
-        return coherent.CoherentAmplitudes(np.zeros(4, dtype=np.complex128))
-    z = _amplitude_list(spec["z"], "coherent z")
-    return coherent.CoherentAmplitudes(np.asarray(z))
-
-
-def _mixture(spec):
+def _mixture(spec, engine, config):
     weights = [
         _as_float(w, "mixture weight") for w in _as_list(spec["weights"], "mixture weights")
     ]
@@ -371,48 +339,66 @@ def _mixture(spec):
         _amplitude_list(row, "mixture component")
         for row in _as_list(spec["components"], "mixture components")
     ]
-    return coherent.ClassicalMixture(np.asarray(weights), np.asarray(components))
+    mixture = coherent.ClassicalMixture(np.asarray(weights), np.asarray(components))
+    if engine == "fock":
+        return fock.synthesize_coherent_mixture(
+            mixture.weights, mixture.components, config.cutoff, config.policy
+        )
+    return mixture
 
 
-def _squeezed_spec(spec):
-    return gaussian.SqueezedThermalSpec(
+def _squeezed_thermal(spec, engine, config):
+    built = gaussian.SqueezedThermalSpec(
         u=_as_float(spec["u"], "u"),
         v=_as_float(spec["v"], "v"),
         kappa=_as_float(spec.get("kappa", 1.0), "kappa"),
     )
+    if engine == "fock":
+        return gaussian.fock_equivalent_state(built, config.cutoff, config.policy)
+    return gaussian.build_squeezed_thermal(built)
+
+
+class _Kind(typing.NamedTuple):
+    """How the CLI reads and builds one state kind."""
+
+    required: tuple  # fields besides "kind"
+    optional: tuple
+    engines: tuple  # the engines that can evaluate the kind; the first is the default
+    build: typing.Callable  # (spec, engine, config) -> state
+
+
+_KINDS = {
+    # passive optics preserve the photon total, so the natural two-photon
+    # cutoff is exact regardless of config.cutoff
+    "two_photon": _Kind((), (), ("fock",), lambda *_: fock.two_photon_state()),
+    "file": _Kind(("path",), (), ("fock",), _state_file),
+    "vacuum": _Kind((), (), ("analytic", "fock"), _coherent),
+    "coherent": _Kind(("z",), (), ("analytic", "fock"), _coherent),
+    "mixture": _Kind(("weights", "components"), (), ("analytic", "fock"), _mixture),
+    "squeezed_thermal": _Kind(
+        ("u", "v"), ("kappa",), ("gaussian", "fock", "both"), _squeezed_thermal
+    ),
+}
+
+
+def _resolve_engine(config):
+    """Pick the evaluation path for the configured state."""
+    if config.state is None:
+        raise ConfigError("a state is required (set state in the config or --state)")
+    kind = config.state["kind"]
+    allowed = _KINDS[kind].engines
+    engine = config.engine or allowed[0]
+    if engine not in allowed:
+        raise ConfigError(
+            f"engine {engine!r} cannot evaluate state kind {kind!r} "
+            f"(engines for {kind}: {', '.join(allowed)})"
+        )
+    return engine
 
 
 def build_state(config, engine):
     """Materialize the configured state for the chosen engine."""
-    spec = config.state
-    kind = spec["kind"]
-    if kind == "two_photon":
-        # passive optics preserve the photon total, so the natural
-        # two-photon cutoff is exact regardless of config.cutoff
-        return fock.two_photon_state()
-    if kind == "file":
-        if not isinstance(spec["path"], str):
-            raise ConfigError(f"state file path: expected a string, got {spec['path']!r}")
-        return _load_state_file(spec["path"], config.policy)
-    if kind in ("vacuum", "coherent"):
-        amplitudes = _coherent_amplitudes(spec)
-        if engine == "fock":
-            return fock.synthesize_coherent(amplitudes.z, config.cutoff, config.policy)
-        return amplitudes
-    if kind == "mixture":
-        return _mixture(spec)
-    if kind == "squeezed_thermal":
-        built = _squeezed_spec(spec)
-        if engine == "fock":
-            return gaussian.fock_equivalent_state(built, config.cutoff, config.policy)
-        return gaussian.build_squeezed_thermal(built)
-    raise ConfigError(f"unhandled state kind {kind!r}")
-
-
-def _report_for(state, angles, config, engine):
-    if engine == "fock" and config.state["kind"] == "mixture":
-        return coherent.mixture_fock_report(state, angles, config.cutoff, config.policy)
-    return detection.ch_functional(state, angles, config.policy)
+    return _KINDS[config.state["kind"]].build(config.state, engine, config)
 
 
 def _format(value):
@@ -450,35 +436,19 @@ def _write_lines(path, lines):
         handle.write("".join(lines))
 
 
+_REPORT_CSV_FIELDS = (
+    "p_tt", "p_t_talt", "p_talt_t", "p_talt_talt", "p_t_any", "p_talt_any", "p_any_t",
+    "p_any_any", "f", "lower_margin", "upper_margin", "tail_err",
+)
+
+
 def _report_csv(report):
-    angles = report.angles
-    head = (
-        "theta1,theta2,theta1_alt,theta2_alt,"
-        "p_tt,p_t_talt,p_talt_t,p_talt_talt,p_t_any,p_talt_any,p_any_t,p_any_any,"
-        "f,lower_margin,upper_margin,tail_err,verdict\n"
+    head = ",".join(("theta1,theta2,theta1_alt,theta2_alt",) + _REPORT_CSV_FIELDS)
+    values = dataclasses.astuple(report.angles) + tuple(
+        getattr(report, name) for name in _REPORT_CSV_FIELDS
     )
-    cells = [
-        _format(v)
-        for v in (
-            angles.theta1,
-            angles.theta2,
-            angles.theta1_alt,
-            angles.theta2_alt,
-            report.p_tt,
-            report.p_t_talt,
-            report.p_talt_t,
-            report.p_talt_talt,
-            report.p_t_any,
-            report.p_talt_any,
-            report.p_any_t,
-            report.p_any_any,
-            report.f,
-            report.lower_margin,
-            report.upper_margin,
-            report.tail_err,
-        )
-    ]
-    return [head, ",".join(cells + [report.verdict]) + "\n"]
+    cells = [_format(v) for v in values] + [report.verdict]
+    return [head + ",verdict\n", ",".join(cells) + "\n"]
 
 
 def _exit_code(report):
@@ -488,17 +458,17 @@ def _exit_code(report):
 def cmd_run(config):
     """Evaluate the CH functional once and print the full report."""
     engine = _resolve_engine(config)
+    engines = ("gaussian", "fock") if engine == "both" else (engine,)
+    states = [build_state(config, name) for name in engines]
     angles = config.angles
     if angles is None:
         rng = np.random.default_rng(config.seed)
         angles = detection.AngleSettings(*rng.uniform(0.0, math.pi, size=4))
         print(f"no angles given; drew random settings with seed {config.seed}")
+    reports = [detection.ch_functional(state, angles, config.policy) for state in states]
 
     if engine == "both":
-        g_report, f_report = (
-            detection.ch_functional(build_state(config, name), angles, config.policy)
-            for name in ("gaussian", "fock")
-        )
+        g_report, f_report = reports
         _print_report(g_report, label="gaussian engine:")
         _print_report(f_report, label=f"fock engine (cutoff {config.cutoff}):")
         gap = max(
@@ -506,16 +476,11 @@ def cmd_run(config):
             for name in ("p_tt", "p_t_any", "p_any_t", "p_any_any", "f")
         )
         print(f"largest cross-engine gap: {gap:.3e}")
-        if config.out:
-            _write_lines(config.out, _report_csv(g_report))
-        return _exit_code(g_report)
-
-    state = build_state(config, engine)
-    report = _report_for(state, angles, config, engine)
-    _print_report(report)
+    else:
+        _print_report(reports[0])
     if config.out:
-        _write_lines(config.out, _report_csv(report))
-    return _exit_code(report)
+        _write_lines(config.out, _report_csv(reports[0]))
+    return _exit_code(reports[0])
 
 
 def cmd_sweep(config):
@@ -551,11 +516,6 @@ def cmd_scan(config):
     engine = _resolve_engine(config)
     if engine == "both":
         raise ConfigError("scan uses one engine at a time")
-    if engine == "fock" and config.state["kind"] == "mixture":
-        raise ConfigError(
-            "scan cannot use the fock engine on a mixture state; "
-            "use run --engine fock, or scan with the analytic engine"
-        )
     state = build_state(config, engine)
     result = detection.angle_scan(state, grid_density=config.grid, refine=config.refine)
     best = result.angles
@@ -566,7 +526,7 @@ def cmd_scan(config):
     print(f"grid f = {result.grid_f:.12f} over {result.grid_density}^4 points")
     if result.refined:
         print(f"refined f = {result.f:.12f}")
-    report = _report_for(state, best, config, engine)
+    report = detection.ch_functional(state, best, config.policy)
     print(f"verdict at best angles: {report.verdict}")
     return 0
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection
+from .fock import synthesize_coherent_mixture
 from .policy import DEFAULT_POLICY
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -44,14 +45,18 @@ def _detected(z, beam, thetas):
     """
     i, j = beam
     thetas = np.asarray(thetas, dtype=np.float64)[..., None, :]
-    transmitted = np.cos(thetas) * z[..., i, None] - np.sin(thetas) * z[..., j, None]
-    return 1.0 - np.exp(-np.abs(transmitted) ** 2)
+    # |amplitude|^2 past the float range overflows to +inf, and 1 - exp(-inf)
+    # is the exact saturated rate 1, so the overflow is not reported
+    with np.errstate(over="ignore"):
+        transmitted = np.cos(thetas) * z[..., i, None] - np.sin(thetas) * z[..., j, None]
+        return 1.0 - np.exp(-np.abs(transmitted) ** 2)
 
 
 def _detected_beam(z, beam):
     """1 - exp(-|z_i|^2 - |z_j|^2): the whole beam watched, no polarizer."""
     i, j = beam
-    return 1.0 - np.exp(-(np.abs(z[..., i]) ** 2 + np.abs(z[..., j]) ** 2))
+    with np.errstate(over="ignore"):  # saturates to 1, as in _detected
+        return 1.0 - np.exp(-(np.abs(z[..., i]) ** 2 + np.abs(z[..., j]) ** 2))
 
 
 def rate_tables(weights, components, thetas1, thetas2):
@@ -124,25 +129,14 @@ def mixture_ch(mixture, angles, policy=DEFAULT_POLICY):
 
 
 def mixture_fock_report(mixture, angles, cutoff, policy=DEFAULT_POLICY):
-    """Fock-engine CH report of a mixture, averaging pure-component rates.
+    """Fock-engine CH report of a mixture, its components synthesized at a total cutoff.
 
-    Each coherent component is synthesized at the given total cutoff and
-    its rate tables computed by the Fock engine on the 2x2 setting grid;
-    the mixture tables are the weight average (the rates are linear in the
-    state). The report's error bar is the weight-averaged truncation tail.
+    The rates are linear in the state, so the mixed state of the pure
+    components gives the weight average of their rates; the report's
+    error bar is the weighted truncation tail.
     """
-    from .fock import synthesize_coherent
-
-    if not isinstance(angles, detection.AngleSettings):
-        angles = detection.AngleSettings(*angles)
-    states = [synthesize_coherent(z, cutoff, policy) for z in mixture.components]
-    tail = float(np.sum(mixture.weights * [s.truncation_tail for s in states]))
-    per_state = [detection.state_tables(s)[0](*angles.beam_grids()) for s in states]
-    tables = tuple(
-        sum(w * table[part] for w, table in zip(mixture.weights, per_state))
-        for part in range(4)
-    )
-    return detection.report_from_tables(tables, angles, tail, policy)
+    state = synthesize_coherent_mixture(mixture.weights, mixture.components, cutoff, policy)
+    return detection.ch_functional(state, angles, policy)
 
 
 @dataclass(frozen=True)

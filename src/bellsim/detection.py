@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .fock import DensityOperator, OccupationState, partial_trace
+from .fock import DensityOperator, MixedState, OccupationState, partial_trace
 from .linear_optics import apply_passive, polarizer_rotation, su2_shells
 from .policy import DEFAULT_POLICY
 
@@ -136,18 +136,19 @@ def _beam_blocks(state):
 
     Returns (weights, blocks) with blocks[r, N1, k, N2, l] the amplitude of
     |k, N1 - k, l, N2 - l> in the r-th pure component, zero where no basis
-    state exists. A pure state is its own single component of weight 1; a
-    density operator enters through its eigen-decomposition
-    rho = sum_r weights[r] |psi_r><psi_r|, with signed eigenvalues, so
-    every marginal is the same weighted sum for both.
+    state exists. A pure state is its own single component of weight 1, a
+    mixed state brings its components, and a density operator enters
+    through its eigen-decomposition rho = sum_r weights[r] |psi_r><psi_r|,
+    with signed eigenvalues, so every marginal is the same weighted sum.
     """
     if state.mode_count != 4:
         raise ValueError("coincidence rates are defined on four-mode states")
     occ = state.basis.occupations
     side = state.cutoff + 1
     if isinstance(state, OccupationState):
-        weights = np.ones(1)
-        vectors = state.amplitudes[None, :]
+        weights, vectors = np.ones(1), state.amplitudes[None, :]
+    elif isinstance(state, MixedState):
+        weights, vectors = state.weights, state.amplitudes
     else:
         weights, columns = np.linalg.eigh(state.matrix)
         vectors = columns.T
@@ -223,12 +224,12 @@ def state_tables(state):
     (p_tt[i, j], p_t_any[i], p_any_t[j], p_any_any): the joint rate with
     polarizers at thetas1[i] and thetas2[j], the rates with only one
     polarizer in place, and the rate with both removed. This is the one
-    place where a state's type picks its engine: Fock states and density
-    operators use their beam blocks, Gaussian states their variance
-    matrix, and coherent states and classical mixtures the closed forms.
-    Raises TypeError for any other type.
+    place where a state's type picks its engine: Fock states, mixed states
+    and density operators use their beam blocks, Gaussian states their
+    variance matrix, and coherent states and classical mixtures the closed
+    forms. Raises TypeError for any other type.
     """
-    if isinstance(state, (OccupationState, DensityOperator)):
+    if isinstance(state, (OccupationState, MixedState, DensityOperator)):
         return partial(_block_rate_tables, _beam_blocks(state)), state.truncation_tail
     from . import coherent, gaussian
 

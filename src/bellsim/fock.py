@@ -82,8 +82,20 @@ def enumerate_basis(mode_count, cutoff, policy=DEFAULT_POLICY):
     return _build_basis(mode_count, cutoff)
 
 
+class _OnBasis:
+    """The shape of a state over a truncated Fock basis."""
+
+    @property
+    def mode_count(self):
+        return self.basis.mode_count
+
+    @property
+    def cutoff(self):
+        return self.basis.cutoff
+
+
 @dataclass(frozen=True)
-class OccupationState:
+class OccupationState(_OnBasis):
     """Pure state over a truncated Fock basis.
 
     ``amplitudes`` follow the basis order. ``truncation_tail`` is the total
@@ -102,14 +114,6 @@ class OccupationState:
                 f"expected ({self.basis.size},)"
             )
 
-    @property
-    def mode_count(self):
-        return self.basis.mode_count
-
-    @property
-    def cutoff(self):
-        return self.basis.cutoff
-
     def to_density_operator(self):
         return DensityOperator(
             self.basis,
@@ -119,7 +123,28 @@ class OccupationState:
 
 
 @dataclass(frozen=True)
-class DensityOperator:
+class MixedState(_OnBasis):
+    """Mixed state sum_r weights[r] |psi_r><psi_r| given by its pure components.
+
+    ``amplitudes[r]`` is component r in the basis order; ``truncation_tail``
+    is the weighted tail of the components.
+    """
+
+    basis: FockBasis
+    weights: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray = field(repr=False)
+    truncation_tail: float = 0.0
+
+    def __post_init__(self):
+        if self.amplitudes.shape != (self.weights.size, self.basis.size):
+            raise ValueError(
+                f"component amplitudes have shape {self.amplitudes.shape}, "
+                f"expected ({self.weights.size}, {self.basis.size})"
+            )
+
+
+@dataclass(frozen=True)
+class DensityOperator(_OnBasis):
     """Density operator over a truncated Fock basis.
 
     Hermiticity and unit trace are enforced at construction; positivity is
@@ -141,14 +166,6 @@ class DensityOperator:
         if abs(tr - 1.0) > DENSITY_TOL + self.truncation_tail:
             raise ValueError(f"trace is {tr}, expected 1")
 
-    @property
-    def mode_count(self):
-        return self.basis.mode_count
-
-    @property
-    def cutoff(self):
-        return self.basis.cutoff
-
 
 def number_state(occupation, cutoff, policy=DEFAULT_POLICY):
     """Basis state |n_1, ..., n_k> at the given total cutoff."""
@@ -159,22 +176,30 @@ def number_state(occupation, cutoff, policy=DEFAULT_POLICY):
     return OccupationState(basis, amp)
 
 
+def _photon_number_tails(z):
+    """(lam, tails) for coherent amplitudes z: lam = sum |z|^2 and tails[n] = P(N > n).
+
+    The total photon number N is Poisson(lam). Its terms are formed in log
+    space and scaled by the largest, so no lam underflows exp(-lam), and a
+    tail is the sum of the terms past n, not 1 minus the rest. They run 20
+    standard deviations past the mean, where the last tail is 0.
+    """
+    with np.errstate(over="ignore"):  # an overflow is +inf, refused below
+        lam = float(np.sum(np.abs(np.asarray(z, dtype=np.complex128)) ** 2))
+    if not lam <= 100_000:  # beyond any basis; also refuses lam = inf
+        raise ValueError(f"mean photon number sum |z|^2 = {lam:.6g} is beyond any cutoff")
+    if lam == 0.0:
+        return lam, np.zeros(1)
+    n = np.arange(math.ceil(lam + 20.0 * math.sqrt(lam) + 40.0) + 1)
+    log_terms = n * math.log(lam) - lam - np.cumsum(np.log(np.maximum(n, 1)))
+    terms = np.exp(log_terms - log_terms.max())
+    from_n = np.cumsum(terms[::-1])[::-1]  # the sum of the terms k >= n
+    return lam, np.append(from_n[1:], 0.0) / from_n[0]
+
+
 def coherent_required_cutoff(z, policy=DEFAULT_POLICY):
     """Smallest total cutoff whose coherent-state tail meets coherent_tail_tol."""
-    lam = float(np.sum(np.abs(np.asarray(z, dtype=np.complex128)) ** 2))
-    if lam == 0.0:
-        return 0
-    # survival of a Poisson(lam) total photon count, by direct summation
-    term = math.exp(-lam)
-    cdf = term
-    n = 0
-    while 1.0 - cdf > policy.coherent_tail_tol:
-        n += 1
-        term *= lam / n
-        cdf += term
-        if n > 100_000:
-            raise ValueError("tail target unreachable")
-    return n
+    return int(np.argmax(_photon_number_tails(z)[1] <= policy.coherent_tail_tol))
 
 
 def synthesize_coherent(z, cutoff, policy=DEFAULT_POLICY):
@@ -183,28 +208,42 @@ def synthesize_coherent(z, cutoff, policy=DEFAULT_POLICY):
     Amplitudes are the exact analytic ones, exp(-|z|^2/2) prod z^n/sqrt(n!);
     no renormalization is applied. The discarded weight must satisfy the
     policy tail bound, otherwise a TruncationTailError reports the cutoff
-    that would.
+    that would; a state that needs more than ``cutoff`` is refused before
+    any amplitude is formed.
     """
     z = np.asarray(z, dtype=np.complex128)
     basis = enumerate_basis(z.size, cutoff, policy)
-    occ = basis.occupations
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
-    # per-mode amplitude table: z^n / sqrt(n!)
-    table = np.empty((z.size, cutoff + 1), dtype=np.complex128)
-    for j in range(z.size):
-        powers = z[j] ** np.arange(cutoff + 1)
-        table[j] = powers * np.exp(-0.5 * log_fact)
-    amp = np.prod(table[np.arange(z.size)[None, :], occ], axis=1)
-    amp *= math.exp(-0.5 * float(np.sum(np.abs(z) ** 2)))
-    tail = max(0.0, 1.0 - float(np.sum(np.abs(amp) ** 2)))
-    if tail > policy.coherent_tail_tol:
-        needed = coherent_required_cutoff(z, policy)
-        raise TruncationTailError(
-            f"coherent tail {tail:.3e} exceeds {policy.coherent_tail_tol:.1e} at "
-            f"cutoff {cutoff}; cutoff {needed} would satisfy the bound",
-            required_cutoff=needed,
-        )
-    return OccupationState(basis, amp, tail)
+    lam, tails = _photon_number_tails(z)
+    needed = int(np.argmax(tails <= policy.coherent_tail_tol))
+    if needed <= cutoff:
+        log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
+        # per-mode amplitude table: z^n / sqrt(n!)
+        table = z[:, None] ** np.arange(cutoff + 1) * np.exp(-0.5 * log_fact)
+        amp = np.prod(table[np.arange(z.size)[None, :], basis.occupations], axis=1)
+        amp *= math.exp(-0.5 * lam)
+        tail = max(0.0, 1.0 - float(np.sum(np.abs(amp) ** 2)))
+        if tail <= policy.coherent_tail_tol:
+            return OccupationState(basis, amp, tail)
+    else:
+        tail = float(tails[cutoff])
+    raise TruncationTailError(
+        f"coherent tail {tail:.3e} exceeds {policy.coherent_tail_tol:.1e} at "
+        f"cutoff {cutoff}; cutoff {needed} would satisfy the bound",
+        required_cutoff=needed,
+    )
+
+
+def synthesize_coherent_mixture(weights, components, cutoff, policy=DEFAULT_POLICY):
+    """Positive mixture of coherent states components[r] truncated at a total cutoff.
+
+    Each component is synthesized as by :func:`synthesize_coherent`; the
+    mixture's tail is the weighted tail of its components.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    states = [synthesize_coherent(z, cutoff, policy) for z in components]
+    tail = float(np.sum(weights * [s.truncation_tail for s in states]))
+    amplitudes = np.array([s.amplitudes for s in states])
+    return MixedState(states[0].basis, weights, amplitudes, tail)
 
 
 def two_photon_state():

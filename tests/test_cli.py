@@ -466,7 +466,7 @@ KIND_STATES = {
 
 
 @pytest.mark.parametrize("engine", cli._ENGINES)
-@pytest.mark.parametrize("kind", sorted(cli._STATE_KEYS))
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
 def test_each_engine_runs_exactly_the_kinds_it_can_evaluate(kind, engine, tmp_path, capsys):
     spec = KIND_STATES[kind]
     if kind == "file":
@@ -477,7 +477,7 @@ def test_each_engine_runs_exactly_the_kinds_it_can_evaluate(kind, engine, tmp_pa
     argv = ["run", "--state", json.dumps(spec), "--engine", engine, "--cutoff", "10",
             "--angles", "0.39,0.79,1.18,0"]
     code, out, err = run_cli(argv, capsys)
-    if engine in cli._STATE_ENGINES[kind]:
+    if engine in cli._KINDS[kind].engines:
         assert code in (0, 2), err
         assert "verdict:" in out
     else:
@@ -593,13 +593,43 @@ def test_a_non_finite_mixture_is_an_error(command, mixture, capsys):
     assert err == "error: mixture weights and amplitudes must be finite\n"
 
 
-def test_scan_with_the_fock_engine_on_a_mixture_is_an_error(capsys):
-    code, out, err = run_cli(
-        ["scan", "--state", json.dumps(MIXTURE), "--engine", "fock"], capsys
-    )
+def test_scan_with_the_fock_engine_on_a_mixture_matches_the_analytic_scan(capsys):
+    grid_f = {}
+    for engine in ("fock", "analytic"):
+        argv = ["scan", "--state", json.dumps(MIXTURE), "--engine", engine,
+                "--cutoff", "14", "--grid", "6"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        grid_f[engine] = float(out.split("grid f = ")[1].split()[0])
+    tail = fock.synthesize_coherent_mixture(
+        MIXTURE["weights"], MIXTURE["components"], 14
+    ).truncation_tail
+    assert 0.0 < tail < 1e-8
+    # f sums six rates, and each is short by at most the tail
+    assert abs(grid_f["fock"] - grid_f["analytic"]) <= 6 * tail + 1e-12
+
+
+@pytest.mark.parametrize("z, names", [(30, "cutoff 1073"), (1e200, "beyond any cutoff")])
+def test_a_coherent_state_past_the_fock_cutoff_is_one_error_line(z, names, tmp_path, capsys):
+    # no angles: a run that fails must not print the random draw first
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"state": {"kind": "coherent", "z": [z, 0, 0, 0]},
+                                "engine": "fock"}))
+    code, out, err = run_cli(["run", "--config", str(path)], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert names in err
+
+
+def test_a_saturated_coherent_state_runs_on_the_analytic_engine(capsys):
+    # |z|^2 overflows the float range; the rates saturate without a warning
+    for z, rate in (([1e200, 0, 0, 0], "0.0"), ([1e200, 0, 0, 1e200], "1.0")):
+        state = json.dumps({"kind": "coherent", "z": z})
+        code, out, err = run_cli(["run", "--state", state, "--angles", "0,0,0,0"], capsys)
+        assert code == 0, err
+        assert err == ""
+        assert f"P(any,any)={rate}00000000000\n" in out
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 """Tests for the truncated Fock basis and state constructors."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import comb, factorial
+from scipy.stats import poisson
 
 import oracle
 import states
@@ -127,6 +130,53 @@ def test_coherent_required_cutoff_is_sufficient():
         cutoff = fock.coherent_required_cutoff(z)
         state = fock.synthesize_coherent(z, cutoff)
         assert state.truncation_tail <= 1e-8
+
+
+def reference_required_cutoff(lam, tol=1e-8):
+    """The cutoff search by direct summation of Poisson terms from exp(-lam).
+
+    exp(-lam) underflows to 0 once lam is above about 745, so this
+    reference stops working there.
+    """
+    if lam == 0.0:
+        return 0
+    term = math.exp(-lam)
+    cdf = term
+    n = 0
+    while 1.0 - cdf > tol:
+        n += 1
+        term *= lam / n
+        cdf += term
+    return n
+
+
+def test_coherent_required_cutoff_equals_the_direct_sum():
+    rng = np.random.default_rng(8)
+    lams = np.concatenate([[0.0], np.geomspace(1e-9, 700.0, 300), rng.uniform(0.0, 700.0, 300)])
+    for lam in lams:
+        z = np.array([math.sqrt(lam), 0.0, 0.0, 0.0])
+        want = reference_required_cutoff(float(np.sum(np.abs(z) ** 2)))
+        assert fock.coherent_required_cutoff(z) == want, lam
+
+
+def test_coherent_required_cutoff_past_the_underflow_matches_the_poisson_tail():
+    rng = np.random.default_rng(9)
+    for lam in np.concatenate([[745.5, 784.0, 900.0], rng.uniform(700.0, 20000.0, 40)]):
+        n = np.arange(int(lam + 20.0 * math.sqrt(lam)))
+        want = int(np.argmax(poisson.sf(n, lam) <= 1e-8))
+        assert fock.coherent_required_cutoff([math.sqrt(lam), 0, 0, 0]) == want, lam
+    assert fock.coherent_required_cutoff([28, 0, 0, 0]) == 946
+
+
+def test_a_coherent_state_past_the_cutoff_is_refused_before_synthesis():
+    # the refusal comes from the Poisson tail alone, before any amplitude
+    # is formed (|z| = 1e200 would overflow them), and names the cutoff
+    with pytest.raises(TruncationTailError, match="cutoff 1073 would") as refused:
+        fock.synthesize_coherent([30, 0, 0, 0], 16)
+    assert refused.value.required_cutoff == 1073
+    for z in (1e200, math.inf):
+        with pytest.raises(ValueError, match="beyond any cutoff"):
+            fock.synthesize_coherent([z, 0, 0, 0], 16)
 
 
 def test_two_photon_state_support():

@@ -278,26 +278,41 @@ GAUSSIAN_SPECS = st.builds(
     v=st.floats(-1.5, 1.5),
     kappa=st.floats(0.05, 1.0),
 )
-AMPLITUDES = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
-MIXTURES = st.integers(1, 4).flatmap(
-    lambda count: st.builds(
-        lambda weights, components: coherent.ClassicalMixture(
-            np.divide(weights, sum(weights)), components
-        ),
-        st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count),
-        st.lists(
-            st.lists(AMPLITUDES, min_size=4, max_size=4), min_size=count, max_size=count
-        ),
+
+
+def mixtures(max_magnitude):
+    amplitudes = st.complex_numbers(
+        max_magnitude=max_magnitude, allow_nan=False, allow_infinity=False
     )
+    return st.integers(1, 4).flatmap(
+        lambda count: st.builds(
+            lambda weights, components: coherent.ClassicalMixture(
+                np.divide(weights, sum(weights)), components
+            ),
+            st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count),
+            st.lists(
+                st.lists(amplitudes, min_size=4, max_size=4), min_size=count, max_size=count
+            ),
+        )
+    )
+
+
+MIXTURES = mixtures(3.0)
+# the same mixtures on the Fock engine, weak enough that a cutoff of 14
+# leaves a tail below 1e-15
+FOCK_MIXTURES = mixtures(0.4).map(
+    lambda mixture: fock.synthesize_coherent_mixture(mixture.weights, mixture.components, 14)
 )
 FOCK_STATES = st.builds(
     lambda seed, cutoff: random_pure_state(np.random.default_rng(seed), cutoff),
     SEEDS,
     CUTOFFS,
 )
-STATES = st.one_of(FOCK_STATES, GAUSSIAN_SPECS.map(gaussian.build_squeezed_thermal), MIXTURES)
+STATES = st.one_of(
+    FOCK_STATES, GAUSSIAN_SPECS.map(gaussian.build_squeezed_thermal), MIXTURES, FOCK_MIXTURES
+)
 # about as many examples per engine as PROPERTY gives one engine
-ENGINE_PROPERTY = settings(max_examples=90, deadline=None)
+ENGINE_PROPERTY = settings(max_examples=120, deadline=None)
 
 
 @ENGINE_PROPERTY
@@ -339,8 +354,11 @@ def test_gaussian_rates_are_pi_periodic_in_each_angle(spec, thetas1, thetas2):
     assert_tables_close(shifted_two, base, 1e-12)
 
 
-@PROPERTY
-@given(mixture=MIXTURES, angles=st.tuples(*[st.floats(-10.0, 10.0)] * 4))
+@settings(max_examples=60, deadline=None)
+@given(
+    mixture=st.one_of(MIXTURES, FOCK_MIXTURES),
+    angles=st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+)
 def test_mixtures_never_violate(mixture, angles):
     report = detection.ch_functional(mixture, angles)
     assert report.f <= 1e-12
