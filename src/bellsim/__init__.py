@@ -23,6 +23,7 @@ _EXPORTS = {
         "TruncationTailError",
     ),
     "fock": (
+        "BeamBlockState",
         "DensityOperator",
         "FockBasis",
         "MixedState",
@@ -68,6 +69,7 @@ _EXPORTS = {
         "build_squeezed_thermal",
         "embed_passive",
         "fock_equivalent_state",
+        "fock_replica",
         "is_squeezed",
         "sweep_rows",
         "variance_matrix",

@@ -354,7 +354,7 @@ def _squeezed_thermal(spec, engine, config):
         kappa=_as_float(spec.get("kappa", 1.0), "kappa"),
     )
     if engine == "fock":
-        return gaussian.fock_equivalent_state(built, config.cutoff, config.policy)
+        return gaussian.fock_replica(built, config.cutoff, config.policy)
     return gaussian.build_squeezed_thermal(built)
 
 
@@ -574,22 +574,26 @@ def run_validation(
         f"(tol {golden_tol:.1e}) -> {'pass' if golden_ok else 'FAIL'}"
     )
 
+    def compared(state, settings):
+        # P(t1, t2), P(t1, any), P(any, t2) and P(any, any) read theta1 and
+        # theta2 only, so one table call covers every setting: P(t1, t2) is
+        # the diagonal of the grid
+        p_tt, p_t_any, p_any_t, p_any_any = detection.state_tables(state)[0](
+            settings[:, 0], settings[:, 1]
+        )
+        return np.concatenate([np.diagonal(p_tt), p_t_any, p_any_t, np.atleast_1d(p_any_any)])
+
     rng = np.random.default_rng(seed)
     worst_cross = 0.0
     for u in (0.1, 0.3):
         for v in (0.1, 0.3):
             spec = gaussian.SqueezedThermalSpec(u, v, 1.0)
             g_state = gaussian.build_squeezed_thermal(spec)
-            f_state = gaussian.fock_equivalent_state(spec, cutoff, policy)
-            for _ in range(3):
-                angles = detection.AngleSettings(*rng.uniform(0.0, math.pi, size=4))
-                g_report = detection.ch_functional(g_state, angles, policy)
-                f_report = detection.ch_functional(f_state, angles, policy)
-                for name in ("p_tt", "p_t_any", "p_any_t", "p_any_any"):
-                    worst_cross = max(
-                        worst_cross,
-                        abs(getattr(g_report, name) - getattr(f_report, name)),
-                    )
+            f_state = gaussian.fock_replica(spec, cutoff, policy)
+            # three seeded settings, folded into [0, pi) as AngleSettings folds them
+            settings = rng.uniform(0.0, math.pi, size=(3, 4)) % math.pi
+            gap = np.abs(compared(g_state, settings) - compared(f_state, settings))
+            worst_cross = max(worst_cross, float(gap.max()))
     cross_ok = worst_cross <= cross_tol
     ok = ok and cross_ok
     lines.append(

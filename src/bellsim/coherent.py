@@ -20,6 +20,8 @@ from .fock import synthesize_coherent_mixture
 from .policy import DEFAULT_POLICY
 
 _WEIGHT_SUM_TOL = 1e-12
+# the most components a drawn classical mixture has
+_MAX_COMPONENTS = 5
 
 
 @dataclass(frozen=True)
@@ -109,18 +111,32 @@ class ClassicalMixture:
             raise ValueError(
                 f"shape mismatch: weights {w.shape}, components {comps.shape}"
             )
-        if not (np.isfinite(w).all() and np.isfinite(comps).all()):
-            raise ValueError("mixture weights and amplitudes must be finite")
-        if np.any(w <= 0):
-            raise ValueError("mixture weights must be positive")
-        if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"mixture weights sum to {w.sum()}, expected 1")
+        _check_mixtures(w, comps, np.ones(w.shape, dtype=bool))
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "components", comps)
 
     def transformed(self, matrix):
         """Apply a passive unitary: every component maps as z -> matrix z."""
         return ClassicalMixture(self.weights, self.components @ np.asarray(matrix).T)
+
+
+def _check_mixtures(weights, components, present):
+    """Raise ValueError unless every mixture of a stack is a valid classical mixture.
+
+    ``weights[..., c]`` and ``components[..., c, 4]`` hold one mixture or a
+    stack of them, and ``present[..., c]`` marks the entries that belong to
+    a mixture rather than pad it with a zero weight. Every value must be
+    finite, every present weight positive and each mixture's weights must
+    sum to 1 within _WEIGHT_SUM_TOL.
+    """
+    if not (np.isfinite(weights).all() and np.isfinite(components).all()):
+        raise ValueError("mixture weights and amplitudes must be finite")
+    if np.any(present & ~(weights > 0)):
+        raise ValueError("mixture weights must be positive")
+    sums = np.atleast_1d(weights.sum(axis=-1))
+    off = np.abs(sums - 1.0) > _WEIGHT_SUM_TOL
+    if off.any():
+        raise ValueError(f"mixture weights sum to {sums[off][0]}, expected 1")
 
 
 def mixture_ch(mixture, angles, policy=DEFAULT_POLICY):
@@ -150,19 +166,32 @@ class SuiteReport:
     failing_seed: tuple | None
 
 
-def random_mixture(rng, max_components=5, amplitude_scale=2.0):
-    """Draw a classical mixture: flat simplex weights, box-uniform amplitudes."""
+def _mixture_draws(rng, max_components=_MAX_COMPONENTS, amplitude_scale=2.0):
+    """Raw draws of a classical mixture: flat simplex weights, box-uniform amplitudes.
+
+    Returns (weights[c], parts[2, c, 4]), with the real parts of the
+    amplitudes drawn before their imaginary parts (see :func:`_complex`).
+    """
     count = int(rng.integers(1, max_components + 1))
     weights = rng.dirichlet(np.ones(count))
-    z = rng.uniform(-amplitude_scale, amplitude_scale, size=(count, 4)) + 1j * (
-        rng.uniform(-amplitude_scale, amplitude_scale, size=(count, 4))
-    )
-    return ClassicalMixture(weights, z)
+    parts = rng.uniform(-amplitude_scale, amplitude_scale, size=(2, count, 4))
+    return weights, parts
+
+
+def _complex(parts):
+    """parts[0] + i parts[1]: complex numbers from their drawn real and imaginary parts."""
+    return parts[0] + 1j * parts[1]
+
+
+def random_mixture(rng, max_components=_MAX_COMPONENTS, amplitude_scale=2.0):
+    """Draw a classical mixture: flat simplex weights, box-uniform amplitudes."""
+    weights, parts = _mixture_draws(rng, max_components, amplitude_scale)
+    return ClassicalMixture(weights, _complex(parts))
 
 
 def haar_unitary(rng, n=4):
     """Haar-distributed U(n) via QR of a complex Gaussian matrix."""
-    return _haar_from_gaussian(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return _haar_from_gaussian(_complex(rng.normal(size=(2, n, n))))
 
 
 def _haar_from_gaussian(m):
@@ -178,18 +207,27 @@ def _haar_from_gaussian(m):
 
 
 def _trial_draws(seed, trial, amplitude_scale=2.0):
-    """The seeded draws of one trial, in order: mixture, Gaussian matrix, angles."""
+    """The raw seeded draws of one trial, in order: the mixture, a Gaussian matrix, angles.
+
+    Returns (weights[c], parts[2, c, 4], gaussian[2, 4, 4], angles[4]): the
+    mixture's weights and amplitude parts, the real and imaginary parts of
+    the complex Gaussian matrix whose QR gives the trial's U(4), and the
+    angles in AngleSettings order (theta1, theta2, theta1', theta2'). Trial
+    t of seed s always draws from its own generator, default_rng([s, t]).
+    """
     rng = np.random.default_rng([seed, trial])
-    mixture = random_mixture(rng, amplitude_scale=amplitude_scale)
-    normal = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    angles = detection.AngleSettings(*rng.uniform(0.0, math.pi, size=4))
-    return mixture, normal, angles
+    weights, parts = _mixture_draws(rng, amplitude_scale=amplitude_scale)
+    gaussian = rng.normal(size=(2, 4, 4))
+    angles = rng.uniform(0.0, math.pi, size=4)
+    return weights, parts, gaussian, angles
 
 
 def nonviolation_trial(seed, trial, policy=DEFAULT_POLICY, amplitude_scale=2.0):
     """One seeded trial: random mixture, random U(4), random angles."""
-    mixture, normal, angles = _trial_draws(seed, trial, amplitude_scale)
-    return mixture_ch(mixture.transformed(_haar_from_gaussian(normal)), angles, policy)
+    weights, parts, gaussian, angles = _trial_draws(seed, trial, amplitude_scale)
+    unitary = _haar_from_gaussian(_complex(gaussian))
+    mixture = ClassicalMixture(weights, _complex(parts)).transformed(unitary)
+    return mixture_ch(mixture, detection.AngleSettings(*angles), policy)
 
 
 def classical_nonviolation_suite(seed, trials, policy=DEFAULT_POLICY):
@@ -199,42 +237,42 @@ def classical_nonviolation_suite(seed, trials, policy=DEFAULT_POLICY):
     passive U(4), draws four random angles, and evaluates the CH report
     with the closed forms. Trial t draws exactly what
     ``nonviolation_trial(seed, t)`` draws, so a failing trial's
-    (seed, trial) pair is reported and can be replayed. The trials are
-    evaluated as one stack: their mixtures padded with zero weights to a
-    common length, one QR and one table evaluation for all of them.
+    (seed, trial) pair is reported and can be replayed. Only the draws are
+    made trial by trial, into preallocated stacks; everything else runs
+    once over the stack: the mixture and angle checks, one QR, one table
+    evaluation (the mixtures padded with zero weights to a common length)
+    and one stacked verdict.
     """
-    draws = [_trial_draws(seed, trial) for trial in range(trials)]
-    if not draws:
+    if trials == 0:
         return SuiteReport(trials, 0, 0.0, 0.0, None)
-    width = max(mixture.weights.size for mixture, _, _ in draws)
-    weights = np.zeros((len(draws), width))
-    components = np.zeros((len(draws), width, 4), dtype=np.complex128)
-    for t, (mixture, _, _) in enumerate(draws):
-        weights[t, : mixture.weights.size] = mixture.weights
-        components[t, : mixture.weights.size] = mixture.components
-    unitaries = _haar_from_gaussian(np.array([normal for _, normal, _ in draws]))
-    components = components @ np.swapaxes(unitaries, -1, -2)
-    grids = np.array([angles.beam_grids() for _, _, angles in draws])
-    tables = rate_tables(weights, components, grids[:, 0], grids[:, 1])
+    counts = np.empty(trials, dtype=np.intp)
+    weights = np.zeros((trials, _MAX_COMPONENTS))
+    parts = np.zeros((2, trials, _MAX_COMPONENTS, 4))
+    gaussians = np.empty((2, trials, 4, 4))
+    angles = np.empty((trials, 4))
+    for t in range(trials):
+        w, trial_parts, gaussians[:, t], angles[t] = _trial_draws(seed, t)
+        counts[t] = w.size
+        weights[t, : w.size] = w
+        parts[:, t, : w.size] = trial_parts
+    width = int(counts.max())
+    weights, components = weights[:, :width], _complex(parts[:, :, :width])
+    gaussians = _complex(gaussians)
+    del parts  # before the QR, whose work sets the suite's peak memory
+    _check_mixtures(weights, components, np.arange(width) < counts[:, None])
+    bad = angles[~np.isfinite(angles)]
+    if bad.size:
+        raise ValueError(f"angle {bad[0]} is not finite")
+    angles = angles % math.pi  # as AngleSettings folds them
 
-    worst_f = -math.inf
-    worst_lower = math.inf
-    violations = 0
-    failing = None
-    for t, (_, _, angles) in enumerate(draws):
-        report = detection.report_from_tables(
-            tuple(table[t] for table in tables), angles, 0.0, policy
-        )
-        worst_f = max(worst_f, report.f)
-        worst_lower = min(worst_lower, report.lower_margin)
-        if report.verdict == detection.VIOLATED:
-            violations += 1
-            if failing is None:
-                failing = (seed, t)
+    components = components @ np.swapaxes(_haar_from_gaussian(gaussians), -1, -2)
+    tables = rate_tables(weights, components, angles[:, [0, 2]], angles[:, [1, 3]])
+    stack = detection.ch_verdicts(tables, 0.0, policy)
+    violated = np.flatnonzero(stack.verdict == detection.VIOLATED)
     return SuiteReport(
         trials=trials,
-        violations=violations,
-        worst_f=worst_f,
-        worst_lower_margin=worst_lower,
-        failing_seed=failing,
+        violations=int(violated.size),
+        worst_f=float(stack.f.max()),
+        worst_lower_margin=float(stack.lower_margin.min()),
+        failing_seed=(seed, int(violated[0])) if violated.size else None,
     )

@@ -24,12 +24,13 @@ Beam one holds modes (0, 1), beam two modes (2, 3). A polarizer angle of
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .fock import DensityOperator, MixedState, OccupationState, partial_trace
+from .fock import BeamBlockState, DensityOperator, MixedState, OccupationState, partial_trace
 from .linear_optics import apply_passive, polarizer_rotation, su2_shells
 from .policy import DEFAULT_POLICY
 
@@ -140,6 +141,8 @@ def _beam_blocks(state):
     mixed state brings its components, and a density operator enters
     through its eigen-decomposition rho = sum_r weights[r] |psi_r><psi_r|,
     with signed eigenvalues, so every marginal is the same weighted sum.
+    Eigenvalues within rounding of zero (up to dim * eps * max|lambda|) are
+    dropped, so a rank-r operator brings r components.
     """
     if state.mode_count != 4:
         raise ValueError("coincidence rates are defined on four-mode states")
@@ -151,7 +154,8 @@ def _beam_blocks(state):
         weights, vectors = state.weights, state.amplitudes
     else:
         weights, columns = np.linalg.eigh(state.matrix)
-        vectors = columns.T
+        rank = np.abs(weights) > weights.size * np.finfo(np.float64).eps * np.abs(weights).max()
+        weights, vectors = weights[rank], columns[:, rank].T
     blocks = np.zeros((weights.size, side, side, side, side), dtype=np.complex128)
     blocks[:, occ[:, 0] + occ[:, 1], occ[:, 0], occ[:, 2] + occ[:, 3], occ[:, 2]] = vectors
     return weights, blocks
@@ -209,10 +213,49 @@ def _block_rate_tables(beam_blocks, thetas1, thetas2):
     q12 = float(_weighted_norms(weights, blocks[:, 0, 0], (1, 2)))
     q34 = float(_weighted_norms(weights, blocks[:, :, :, 0, 0], (1, 2)))
     q_all = float(_weighted_norms(weights, blocks[:, 0, 0, 0, 0], ()))
+    return rates_from_marginals(q1, q3, q13, q134, q123, q12, q34, q_all)
 
-    p_tt = 1.0 - q1[:, None] - q3[None, :] + q13
-    p_t_any = 1.0 - q1 - q34 + q134
-    p_any_t = 1.0 - q12 - q3 + q123
+
+def _pair_block_rate_tables(blocks, thetas1, thetas2):
+    """Rate tables of a :class:`BeamBlockState` from its blocks F[N, k, l].
+
+    The marginals of :func:`_block_rate_tables` restricted to N1 = N2 = N:
+    X = V1 . F, Z = F . V2^T and Y = V1 . F . V2^T, one N-block at a time.
+    Beam one is empty exactly when beam two is, so q12, q34 and q_all are
+    all F[0, 0, 0]^2.
+    """
+    side = blocks.shape[0]
+    v1 = _polarizer_vectors(thetas1, side - 1)  # [N, t, k]
+    v2 = _polarizer_vectors(thetas2, side - 1)  # [N, s, l]
+    x = v1 @ blocks  # [N, t, l]
+    z = v2 @ blocks.transpose(0, 2, 1)  # [N, s, k]
+    y = x @ v2.transpose(0, 2, 1)  # [N, t, s]
+    empty = blocks[0, 0, 0] ** 2
+    return rates_from_marginals(
+        (x**2).sum(axis=(0, 2)),
+        (z**2).sum(axis=(0, 2)),
+        (y**2).sum(axis=0),
+        x[0, :, 0] ** 2,
+        z[0, :, 0] ** 2,
+        empty,
+        empty,
+        empty,
+    )
+
+
+def rates_from_marginals(q1, q3, q13, q134, q123, q12, q34, q_all):
+    """The four rate tables from vacuum marginals, by inclusion-exclusion.
+
+    Mode 1 is the transmitted mode of beam one, mode 3 that of beam two,
+    and modes 2 and 4 the rest of each beam: q1[..., i], q3[..., j],
+    q13[..., i, j], q134[..., i] and q123[..., j] follow the angle grid,
+    while q12, q34 (a whole beam empty) and q_all do not. Leading axes are
+    a stack of states.
+    """
+    q12, q34 = np.asarray(q12), np.asarray(q34)
+    p_tt = 1.0 - q1[..., :, None] - q3[..., None, :] + q13
+    p_t_any = 1.0 - q1 - q34[..., None] + q134
+    p_any_t = 1.0 - q12[..., None] - q3 + q123
     p_any_any = 1.0 - q12 - q34 + q_all
     return p_tt, p_t_any, p_any_t, p_any_any
 
@@ -225,12 +268,15 @@ def state_tables(state):
     polarizers at thetas1[i] and thetas2[j], the rates with only one
     polarizer in place, and the rate with both removed. This is the one
     place where a state's type picks its engine: Fock states, mixed states
-    and density operators use their beam blocks, Gaussian states their
-    variance matrix, and coherent states and classical mixtures the closed
-    forms. Raises TypeError for any other type.
+    and density operators use their beam blocks (a BeamBlockState holds
+    them already), Gaussian states their variance matrix, and coherent
+    states and classical mixtures the closed forms. Raises TypeError for
+    any other type.
     """
     if isinstance(state, (OccupationState, MixedState, DensityOperator)):
         return partial(_block_rate_tables, _beam_blocks(state)), state.truncation_tail
+    if isinstance(state, BeamBlockState):
+        return partial(_pair_block_rate_tables, state.blocks), state.truncation_tail
     from . import coherent, gaussian
 
     if isinstance(state, gaussian.GaussianState):
@@ -267,61 +313,91 @@ def coincidence_probability(state, theta1, theta2):
     return single_rate(state_tables(state)[0], theta1, theta2)
 
 
-def report_from_tables(tables, angles, tail_err=0.0, policy=DEFAULT_POLICY):
-    """Build a CoincidenceReport from rate tables on the 2x2 setting grid.
+_VERDICTS = np.array([NOT_VIOLATED, INCONCLUSIVE, VIOLATED], dtype=object)
 
-    ``tables`` is (p_tt, p_t_any, p_any_t, p_any_any) evaluated on
-    thetas1 = (theta1, theta1') and thetas2 = (theta2, theta2'), the shape
-    every engine's rate tables take. This is the single place where the
-    CH functional, its margins and the verdict are put together.
+
+class CHStack(typing.NamedTuple):
+    """The CH functional of a stack of settings: one entry per row."""
+
+    rates: dict  # CoincidenceReport field name -> that rate of every row
+    f: np.ndarray
+    lower_margin: np.ndarray
+    upper_margin: np.ndarray
+    verdict: np.ndarray  # of str
+
+
+def ch_verdicts(tables, tail_err=0.0, policy=DEFAULT_POLICY):
+    """The CH functional, its margins and the verdict for a stack of rate tables.
+
+    ``tables`` is (p_tt[n, 2, 2], p_t_any[n, 2], p_any_t[n, 1+], p_any_any[n]):
+    every engine's rate tables on thetas1 = (theta1, theta1') and
+    thetas2 = (theta2, theta2'), with a leading stack axis. This is the
+    single place where the CH functional, its margins and the verdict are
+    put together. Raises ValueError, as for the first row (in stack order)
+    that has one, on a non-finite rate, a rate outside [0, 1] by more than
+    the error bar, or an f or error bar that is not finite.
     """
-    if not isinstance(angles, AngleSettings):
-        angles = AngleSettings(*angles)
-    p_tt, p_t_any, p_any_t, p_any_any = tables
+    p_tt, p_t_any, p_any_t, p_any_any = (np.asarray(t, dtype=np.float64) for t in tables)
     rates = dict(
-        p_tt=float(p_tt[0, 0]),
-        p_t_talt=float(p_tt[0, 1]),
-        p_talt_t=float(p_tt[1, 0]),
-        p_talt_talt=float(p_tt[1, 1]),
-        p_t_any=float(p_t_any[0]),
-        p_talt_any=float(p_t_any[1]),
-        p_any_t=float(p_any_t[0]),
-        p_any_any=float(p_any_any),
+        p_tt=p_tt[..., 0, 0],
+        p_t_talt=p_tt[..., 0, 1],
+        p_talt_t=p_tt[..., 1, 0],
+        p_talt_talt=p_tt[..., 1, 1],
+        p_t_any=p_t_any[..., 0],
+        p_talt_any=p_t_any[..., 1],
+        p_any_t=p_any_t[..., 0],
+        p_any_any=p_any_any,
     )
-
     tol = policy.verdict_tol + tail_err
-    for name, value in rates.items():
-        if not math.isfinite(value):
-            raise ValueError(f"rate {name} = {value} is not finite")
-        if value < -tol or value > 1.0 + tol:
+    values = np.array(list(rates.values()))  # [rate, row]
+    with np.errstate(over="ignore", invalid="ignore"):
+        non_finite = ~np.isfinite(values)
+        bad_rate = non_finite | (values < -tol) | (values > 1.0 + tol)
+        f = (
+            rates["p_tt"] - rates["p_t_talt"] + rates["p_talt_t"] + rates["p_talt_talt"]
+            - rates["p_talt_any"] - rates["p_any_t"]
+        )
+    failing = bad_rate.any(axis=0) | ~(np.isfinite(f) & math.isfinite(tol))
+    if failing.any():
+        row = int(np.argmax(failing))
+        if bad_rate[:, row].any():
+            k = int(np.argmax(bad_rate[:, row]))
+            name, value = list(rates)[k], float(values[k, row])
+            if non_finite[k, row]:
+                raise ValueError(f"rate {name} = {value} is not finite")
             raise ValueError(f"rate {value} outside [0, 1] beyond the error bar")
+        raise ValueError(f"f = {float(f[row])} with error bar {tol} gives no verdict")
 
-    f = (
-        rates["p_tt"] - rates["p_t_talt"] + rates["p_talt_t"] + rates["p_talt_talt"]
-        - rates["p_talt_any"] - rates["p_any_t"]
-    )
-    if not (math.isfinite(f) and math.isfinite(tol)):
-        raise ValueError(f"f = {f} with error bar {tol} gives no verdict")
     lower_margin = f + rates["p_any_any"]
     upper_margin = 0.0 - f  # a zero f gives +0.0, never -0.0
     # A violation is only claimed when a bound is broken by more than the
     # numerical error bar; a bound broken within the error bar is
     # inconclusive, and saturated bounds count as holding.
-    if upper_margin < -tol or lower_margin < -tol:
-        verdict = VIOLATED
-    elif upper_margin < 0.0 or lower_margin < 0.0:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = NOT_VIOLATED
+    violated = (upper_margin < -tol) | (lower_margin < -tol)
+    broken = (upper_margin < 0.0) | (lower_margin < 0.0)
+    verdict = _VERDICTS[np.where(violated, 2, broken.astype(np.intp))]
+    return CHStack(rates, f, lower_margin, upper_margin, verdict)
 
+
+def report_from_tables(tables, angles, tail_err=0.0, policy=DEFAULT_POLICY):
+    """Build a CoincidenceReport from rate tables on the 2x2 setting grid.
+
+    ``tables`` is (p_tt, p_t_any, p_any_t, p_any_any) evaluated on
+    thetas1 = (theta1, theta1') and thetas2 = (theta2, theta2'), the shape
+    every engine's rate tables take: the one-row case of
+    :func:`ch_verdicts`.
+    """
+    if not isinstance(angles, AngleSettings):
+        angles = AngleSettings(*angles)
+    row = ch_verdicts(tuple(np.asarray(table)[None] for table in tables), tail_err, policy)
     return CoincidenceReport(
         angles=angles,
-        f=f,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
+        f=float(row.f[0]),
+        lower_margin=float(row.lower_margin[0]),
+        upper_margin=float(row.upper_margin[0]),
         tail_err=tail_err,
-        verdict=verdict,
-        **rates,
+        verdict=row.verdict[0],
+        **{name: float(value[0]) for name, value in row.rates.items()},
     )
 
 

@@ -65,11 +65,11 @@ def _build_basis(mode_count, cutoff):
     return FockBasis(mode_count=mode_count, cutoff=cutoff, occupations=occ, index=index)
 
 
-def enumerate_basis(mode_count, cutoff, policy=DEFAULT_POLICY):
-    """Return the cached basis for ``mode_count`` modes at a total cutoff.
+def check_dimension(mode_count, cutoff, policy=DEFAULT_POLICY):
+    """Refuse a basis shape the policy budget does not allow.
 
-    Raises DimensionLimitError before enumerating anything if the dimension
-    C(cutoff + mode_count, mode_count) exceeds the policy budget.
+    Raises DimensionLimitError if the dimension C(cutoff + mode_count,
+    mode_count) exceeds the policy budget.
     """
     if mode_count < 1 or cutoff < 0:
         raise ValueError(f"invalid basis shape: {mode_count} modes, cutoff {cutoff}")
@@ -79,6 +79,15 @@ def enumerate_basis(mode_count, cutoff, policy=DEFAULT_POLICY):
             f"basis dimension {dim} exceeds the configured maximum "
             f"{policy.max_dimension} ({mode_count} modes, cutoff {cutoff})"
         )
+
+
+def enumerate_basis(mode_count, cutoff, policy=DEFAULT_POLICY):
+    """Return the cached basis for ``mode_count`` modes at a total cutoff.
+
+    Checks the dimension (see :func:`check_dimension`) before enumerating
+    anything.
+    """
+    check_dimension(mode_count, cutoff, policy)
     return _build_basis(mode_count, cutoff)
 
 
@@ -165,6 +174,29 @@ class DensityOperator(_OnBasis):
         tr = complex(np.trace(self.matrix))
         if abs(tr - 1.0) > DENSITY_TOL + self.truncation_tail:
             raise ValueError(f"trace is {tr}, expected 1")
+
+
+@dataclass(frozen=True)
+class BeamBlockState:
+    """Pure four-mode state whose two beams carry equal photon numbers.
+
+    ``blocks[N, k, l]`` is the real amplitude of |k, N - k, l, N - l>, for
+    N = 0..cutoff // 2: these N1 = N2 beam blocks are all a total cutoff
+    keeps of such a state, so no basis is enumerated. ``truncation_tail``
+    is the squared weight past the cutoff, as for :class:`OccupationState`.
+    """
+
+    cutoff: int
+    blocks: np.ndarray = field(repr=False)
+    truncation_tail: float = 0.0
+
+    def __post_init__(self):
+        side = self.cutoff // 2 + 1
+        if self.blocks.shape != (side, side, side) or self.blocks.dtype != np.float64:
+            raise ValueError(
+                f"beam blocks have shape {self.blocks.shape} and type "
+                f"{self.blocks.dtype}, expected real ({side}, {side}, {side})"
+            )
 
 
 def number_state(occupation, cutoff, policy=DEFAULT_POLICY):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection
-from .fock import OccupationState, enumerate_basis
+from .fock import BeamBlockState, OccupationState, check_dimension, enumerate_basis
 from .linear_optics import UNITARITY_TOL, beam_wiring, check_unitary, entangling_unitary
 from .policy import DEFAULT_POLICY
 
@@ -239,11 +239,7 @@ def rate_tables(v, thetas1, thetas2):
     q12, q34 = q_two[..., -2], q_two[..., -1]
     q134, q123 = q_three[..., :n1], q_three[..., n1:]
 
-    p_tt = 1.0 - q1[..., :, None] - q3[..., None, :] + q13
-    p_t_any = 1.0 - q1 - q34[..., None] + q134
-    p_any_t = 1.0 - q12[..., None] - q3 + q123
-    p_any_any = 1.0 - q12 - q34 + q_all
-    return p_tt, p_t_any, p_any_t, p_any_any
+    return detection.rates_from_marginals(q1, q3, q13, q134, q123, q12, q34, q_all)
 
 
 # the rate of any engine's state; bound here for callers of the Gaussian module
@@ -282,7 +278,7 @@ def _coupled_beam_blocks(coupling, top):
     return blocks
 
 
-def fock_equivalent_state(spec, cutoff, policy=DEFAULT_POLICY):
+def fock_replica(spec, cutoff, policy=DEFAULT_POLICY):
     """Fock-engine replica of a pure squeezed thermal state, in closed form.
 
     Only kappa = 1 has a pure-state replica: the vacuum squeezed mode by
@@ -295,11 +291,13 @@ def fock_equivalent_state(spec, cutoff, policy=DEFAULT_POLICY):
     beam coupling C = A[:2, 2:] = [[t_u - t_v, t_u + t_v], [t_u + t_v,
     t_u - t_v]] / 2, t = tanh; every amplitude sits on a state
     |k, N - k, l, N - l> with 2N <= cutoff (see :func:`_coupled_beam_blocks`).
-    The returned state carries the weight past the cutoff as its tail.
+    Returns those blocks as a BeamBlockState, which carries the weight past
+    the cutoff as its tail. The replica is refused at the basis dimension
+    where :func:`fock.enumerate_basis` would refuse its basis.
     """
     if spec.kappa != 1.0:
         raise ValueError("only pure (kappa = 1) states have a Fock replica")
-    basis = enumerate_basis(4, cutoff, policy)
+    check_dimension(4, cutoff, policy)
     w = _squeeze_q_exponents(spec.u, spec.v)
     for exponent in w.tolist():
         if exponent != 0.0 and abs(exponent) > policy.squeeze_limit:
@@ -309,14 +307,21 @@ def fock_equivalent_state(spec, cutoff, policy=DEFAULT_POLICY):
     mixer = (beam_wiring() @ entangling_unitary().T).real
     coupling = (mixer * -np.tanh(w)) @ mixer.T
     blocks = _coupled_beam_blocks(coupling[:2, 2:], cutoff // 2)
+    blocks *= np.prod(np.cosh(w)) ** -0.5
+    kept = float(np.sum(blocks**2))
+    return BeamBlockState(cutoff, blocks, max(0.0, 1.0 - kept))
+
+
+def fock_equivalent_state(spec, cutoff, policy=DEFAULT_POLICY):
+    """The replica of :func:`fock_replica` as an OccupationState on the full basis."""
+    replica = fock_replica(spec, cutoff, policy)
+    basis = enumerate_basis(4, cutoff, policy)
     occ = basis.occupations
     beam_one, beam_two = occ[:, 0] + occ[:, 1], occ[:, 2] + occ[:, 3]
     on_block = beam_one == beam_two
     amplitudes = np.zeros(basis.size, dtype=np.complex128)
-    amplitudes[on_block] = blocks[beam_one[on_block], occ[on_block, 0], occ[on_block, 2]]
-    amplitudes *= np.prod(np.cosh(w)) ** -0.5
-    kept = float(np.sum(amplitudes.real**2))
-    return OccupationState(basis, amplitudes, max(0.0, 1.0 - kept))
+    amplitudes[on_block] = replica.blocks[beam_one[on_block], occ[on_block, 0], occ[on_block, 2]]
+    return OccupationState(basis, amplitudes, replica.truncation_tail)
 
 
 SWEEP_SCENARIOS = ("equal", "zero", "opposite")
@@ -352,12 +357,10 @@ def sweep_rows(u_values, scenarios, kappas, angles, policy=DEFAULT_POLICY):
         return []
     g = _checked_exponents(_squeezed_thermal_exponents(specs))
     tables = rate_tables(np.linalg.inv(g) / 2.0, *angles.beam_grids())
+    stack = detection.ch_verdicts(tables, 0.0, policy)
     rows = []
-    for point, spec in enumerate(specs):
-        report = detection.report_from_tables(
-            tuple(table[point] for table in tables), angles, 0.0, policy
-        )
-        neg_p_both = -report.p_any_any
+    for spec, f, p_both in zip(specs, stack.f.tolist(), stack.rates["p_any_any"].tolist()):
+        neg_p_both = -p_both
         # the flag is the raw bound test on the emitted values, so a CSV
         # row is self-consistent: violated = 0 exactly when
         # neg_p_both <= f <= 0 holds for the numbers in the row
@@ -366,9 +369,9 @@ def sweep_rows(u_values, scenarios, kappas, angles, policy=DEFAULT_POLICY):
                 "u": spec.u,
                 "v": spec.v,
                 "kappa": spec.kappa,
-                "f": report.f,
+                "f": f,
                 "neg_p_both": neg_p_both,
-                "violated": 0 if neg_p_both <= report.f <= 0.0 else 1,
+                "violated": 0 if neg_p_both <= f <= 0.0 else 1,
             }
         )
     return rows

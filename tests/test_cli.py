@@ -367,6 +367,20 @@ def test_validate_with_no_trials_warns(capsys):
     assert "classical" in err.lower()
 
 
+def test_validate_prints_the_seeded_numbers(capsys):
+    # the per-(seed, trial) draws, the replica and both engines' tables pin these
+    code, out, _ = run_cli(["validate", "--trials", "1000", "--seed", "944904"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert (
+        "cross-engine rates (cutoff 16): worst gap 4.178e-10 (tol 1.0e-06) -> pass" in lines
+    )
+    assert (
+        "classical nonviolation (1000 trials): violations 0, worst f -5.109e-03, "
+        "worst lower margin 2.604e-02 -> pass"
+    ) in lines
+
+
 def test_validation_checks_are_live():
     # an impossible tolerance must fail: proof the comparisons really run
     ok, lines = cli.run_validation(seed=1, trials=2, cutoff=10, golden_tol=1e-30)
@@ -826,6 +840,57 @@ def test_replica_limits_are_error_lines(engine, tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: basis dimension ") and " exceeds " in err
     assert len(err.strip().splitlines()) == 1
+
+
+REPLICA_REFUSALS = [
+    (
+        dict(SQUEEZED, kappa=0.9), [],
+        "error: only pure (kappa = 1) states have a Fock replica\n",
+    ),
+    (SQUEEZED, ["--config", "squeeze"], "error: |u| = 0.4 exceeds the limit 0.1\n"),
+    (
+        dict(SQUEEZED, u=0.05, v=-0.3), ["--config", "squeeze"],
+        "error: |u| = 0.3 exceeds the limit 0.1\n",
+    ),
+    (
+        SQUEEZED, ["--cutoff", "200"],
+        "error: basis dimension 70058751 exceeds the configured maximum 2000000 "
+        "(4 modes, cutoff 200)\n",
+    ),
+    (
+        SQUEEZED, ["--config", "dimension"],
+        "error: basis dimension 4845 exceeds the configured maximum 100 (4 modes, cutoff 16)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["run fock", "run both", "scan fock"])
+@pytest.mark.parametrize("state, extra, error", REPLICA_REFUSALS)
+def test_replica_refusals_are_exact_error_lines(command, state, extra, error, tmp_path, capsys):
+    policies = {"squeeze": {"squeeze_limit": 0.1}, "dimension": {"max_dimension": 100}}
+    for name, policy in policies.items():
+        (tmp_path / name).write_text(json.dumps({"policy": policy}))
+    extra = [str(tmp_path / arg) if arg in policies else arg for arg in extra]
+    verb, engine = command.split()
+    argv = [verb, "--engine", engine, "--state", json.dumps(state)] + extra
+    if verb == "run":
+        argv += ["--angles", "0.39,0.79,1.18,0"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (1, "", error)
+
+
+def test_the_fock_replica_enumerates_no_basis(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a basis was enumerated")
+
+    monkeypatch.setattr(fock, "_build_basis", refuse)
+    code, out, _ = run_cli(
+        ["run", "--engine", "both", "--state", json.dumps(SQUEEZED), "--angles", "0.39,0.79,1.18,0"],
+        capsys,
+    )
+    assert code == 0 and "largest cross-engine gap" in out
+    code, out, _ = run_cli(["validate", "--trials", "3"], capsys)
+    assert code == 0 and "validation: pass" in out
 
 
 def test_commands_run_without_scipy():

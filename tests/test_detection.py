@@ -1,7 +1,11 @@
 """Tests for polarizer rates, the correlation functional, and verdicts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 import states
@@ -235,6 +239,121 @@ def test_report_from_tables_gives_no_verdict_on_non_finite_numbers():
         # one bad rate among good ones is enough
         with pytest.raises(ValueError):
             detection.report_from_tables(constant_tables(0.5, any_value=bad), angles)
+
+
+def scalar_verdict(rates, tail_err, verdict_tol=1e-9):
+    """(f, lower, upper, verdict) of one row of eight rates, in plain float arithmetic.
+
+    ``rates`` follows the report's order: p_tt, p_t_talt, p_talt_t,
+    p_talt_talt, p_t_any, p_talt_any, p_any_t, p_any_any. Raises ValueError
+    where a row gives no sound verdict.
+    """
+    tol = verdict_tol + tail_err
+    for value in rates:
+        if not math.isfinite(value) or value < -tol or value > 1.0 + tol:
+            raise ValueError(value)
+    tt, t_talt, talt_t, talt_talt, _, talt_any, any_t, any_any = rates
+    f = tt - t_talt + talt_t + talt_talt - talt_any - any_t
+    if not (math.isfinite(f) and math.isfinite(tol)):
+        raise ValueError(f)
+    lower, upper = f + any_any, 0.0 - f
+    if upper < -tol or lower < -tol:
+        return f, lower, upper, VIOLATED
+    if upper < 0.0 or lower < 0.0:
+        return f, lower, upper, INCONCLUSIVE
+    return f, lower, upper, NOT_VIOLATED
+
+
+SPECIAL_RATES = [np.nan, np.inf, -np.inf, -0.5, 1.5, 1e308, -1e-9, 1.0 + 1e-9]
+
+
+@st.composite
+def table_stacks(draw):
+    """(p_tt[n, 2, 2], p_t_any[n, 2], p_any_t[n, 2], p_any_any[n]) with a few bad entries."""
+    n = draw(st.integers(1, 6))
+    flat = np.array(draw(st.lists(st.floats(-1e-9, 1.0), min_size=9 * n, max_size=9 * n)))
+    for row, entry, value in draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, 8), st.sampled_from(SPECIAL_RATES)),
+            max_size=3,
+        )
+    ):
+        flat[9 * row + entry] = value
+    flat = flat.reshape(n, 9)
+    return flat[:, :4].reshape(n, 2, 2), flat[:, 4:6], flat[:, 6:8], flat[:, 8]
+
+
+RATE_NAMES = (
+    "p_tt", "p_t_talt", "p_talt_t", "p_talt_talt", "p_t_any", "p_talt_any", "p_any_t", "p_any_any",
+)
+
+
+def report_rates(report):
+    return [getattr(report, name) for name in RATE_NAMES]
+
+
+def row_rates(row):
+    """The eight report rates of one row of tables, in the report's order."""
+    p_tt, p_t_any, p_any_t, p_any_any = row
+    return [
+        float(p_tt[0, 0]), float(p_tt[0, 1]), float(p_tt[1, 0]), float(p_tt[1, 1]),
+        float(p_t_any[0]), float(p_t_any[1]), float(p_any_t[0]), float(p_any_any),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tables=table_stacks(),
+    tail_err=st.sampled_from([0.0, 1e-9, 1e-3, 0.5, 1.0, np.inf, np.nan]),
+)
+def test_stacked_verdict_is_the_report_row_by_row(tables, tail_err):
+    angles = AngleSettings(0.1, 0.2, 0.3, 0.4)
+    rows = [tuple(table[i] for table in tables) for i in range(len(tables[3]))]
+    try:
+        reports = [detection.report_from_tables(row, angles, tail_err) for row in rows]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            detection.ch_verdicts(tables, tail_err)
+        assert str(info.value) == str(exc)
+        with pytest.raises(ValueError):  # and the scalar rules refuse some row too
+            for row in rows:
+                scalar_verdict(row_rates(row), tail_err)
+        return
+    stack = detection.ch_verdicts(tables, tail_err)
+    assert stack.f.tolist() == [report.f for report in reports]
+    assert stack.lower_margin.tolist() == [report.lower_margin for report in reports]
+    assert stack.upper_margin.tolist() == [report.upper_margin for report in reports]
+    assert stack.verdict.tolist() == [report.verdict for report in reports]
+    for name, values in stack.rates.items():
+        assert values.tolist() == [getattr(report, name) for report in reports]
+    for row, report in zip(rows, reports):
+        want = scalar_verdict(report_rates(report), tail_err)
+        assert (report.f, report.lower_margin, report.upper_margin, report.verdict) == want
+        assert report_rates(report) == row_rates(row)
+
+
+def test_stacked_verdicts_cover_every_outcome():
+    # rows built to violate, stay inconclusive and hold, at tail 1e-3
+    tables = (
+        np.array([[[0.5, 0.0], [0.5, 0.5]], [[0.5, 0.0], [0.0, 0.5]], [[0.0] * 2] * 2]),
+        np.array([[0.0, 0.0], [0.0, 0.9995], [0.0, 0.0]]),
+        np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        np.array([1.0, 1.0, 0.0]),
+    )
+    stack = detection.ch_verdicts(tables, 1e-3)
+    assert stack.verdict.tolist() == [VIOLATED, INCONCLUSIVE, NOT_VIOLATED]
+    assert stack.f[2] == 0.0 and math.copysign(1.0, stack.upper_margin[2]) == 1.0
+
+
+def test_the_first_failing_row_names_the_error():
+    tables = tuple(np.repeat(np.asarray(t)[None], 3, axis=0) for t in constant_tables(0.5))
+    tables[1][1, 1] = 1.5
+    tables[0][2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^rate 1.5 outside \[0, 1\]"):
+        detection.ch_verdicts(tables)
+    tables[0][0, 1, 1] = np.inf
+    with pytest.raises(ValueError, match=r"^rate p_talt_talt = inf is not finite"):
+        detection.ch_verdicts(tables)
 
 
 # a cutoff of 8 leaves a nonzero truncation tail for the report to carry

@@ -87,6 +87,53 @@ def test_tables_match_the_dense_oracle_on_a_mixed_state(cached_oracle):
     assert_tables_close(got, want, 1e-9)
 
 
+def full_expansion(rho):
+    """rho as the mixed state of all its eigenvectors, zero eigenvalues included."""
+    weights, columns = np.linalg.eigh(rho.matrix)
+    return fock.MixedState(rho.basis, weights, columns.T, rho.truncation_tail)
+
+
+def rank_three_operator():
+    rng = np.random.default_rng(77)
+    pure = [random_pure_state(rng, 3) for _ in range(3)]
+    weights = rng.dirichlet(np.ones(3))
+    matrix = sum(w * s.to_density_operator().matrix for w, s in zip(weights, pure))
+    return fock.DensityOperator(pure[0].basis, matrix)
+
+
+def full_rank_operator():
+    rng = np.random.default_rng(78)
+    basis = fock.enumerate_basis(4, 3)
+    root = rng.normal(size=(basis.size, basis.size)) + 1j * rng.normal(size=(basis.size, basis.size))
+    matrix = root @ root.conj().T
+    return fock.DensityOperator(basis, matrix / np.trace(matrix).real)
+
+
+DENSITY_OPERATORS = {
+    # the replica at cutoff 8, as in test_detection
+    "rank one": (
+        lambda: gaussian.fock_equivalent_state(
+            gaussian.SqueezedThermalSpec(0.3, -0.2, 1.0), 8
+        ).to_density_operator(),
+        1,
+    ),
+    "rank three": (rank_three_operator, 3),
+    "full rank": (full_rank_operator, 35),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSITY_OPERATORS))
+def test_density_operators_bring_only_their_rank(name):
+    build, rank = DENSITY_OPERATORS[name]
+    rho = build()
+    weights, _ = detection._beam_blocks(rho)
+    assert weights.size == rank
+    thetas1, thetas2 = np.linspace(0.0, 3.0, 5), np.linspace(0.2, 2.9, 4)
+    got = state_rate_tables(rho, thetas1, thetas2)
+    want = state_rate_tables(full_expansion(rho), thetas1, thetas2)
+    assert_tables_close(got, want, 1e-14)
+
+
 def test_grid_tables_equal_single_point_reports():
     state = gaussian.fock_equivalent_state(
         gaussian.SqueezedThermalSpec(0.3, -0.2, 1.0), 10

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 import states
-from bellsim import DEFAULT_POLICY, DimensionLimitError, NumericalPolicy, fock, gaussian
+from bellsim import DEFAULT_POLICY, DimensionLimitError, NumericalPolicy, detection, fock, gaussian
 from bellsim.gaussian import SqueezedThermalSpec, _squeeze_q_exponents
 from bellsim.linear_optics import apply_passive, beam_wiring, entangling_unitary
 
@@ -144,15 +144,63 @@ def test_replica_amplitudes_lie_on_equal_beam_blocks():
 
 
 def test_replica_guards():
-    with pytest.raises(ValueError, match=r"\|u\| = 0.4 exceeds the limit 0.1"):
-        gaussian.fock_equivalent_state(
-            SqueezedThermalSpec(0.4, 0.05, 1.0), 8, NumericalPolicy(squeeze_limit=0.1)
+    for build in (gaussian.fock_equivalent_state, gaussian.fock_replica):
+        with pytest.raises(ValueError, match=r"\|u\| = 0.4 exceeds the limit 0.1"):
+            build(SqueezedThermalSpec(0.4, 0.05, 1.0), 8, NumericalPolicy(squeeze_limit=0.1))
+        with pytest.raises(ValueError, match=r"\|u\| = 0.3 exceeds the limit 0.1"):
+            build(SqueezedThermalSpec(0.05, -0.3, 1.0), 8, NumericalPolicy(squeeze_limit=0.1))
+        with pytest.raises(DimensionLimitError, match="basis dimension"):
+            build(SqueezedThermalSpec(0.4, 0.3, 1.0), 12, NumericalPolicy(max_dimension=100))
+        with pytest.raises(ValueError, match=r"only pure \(kappa = 1\) states"):
+            build(SqueezedThermalSpec(0.4, 0.3, 0.9), 12)
+
+
+def test_the_dimension_limit_is_the_basis_limit():
+    # the replica enumerates no basis, yet it is refused at exactly the
+    # dimension where the basis of the same cutoff is
+    spec = SqueezedThermalSpec(0.4, 0.3, 1.0)
+    policy = NumericalPolicy(max_dimension=fock.enumerate_basis(4, 12).size)
+    assert gaussian.fock_replica(spec, 12, policy).cutoff == 12
+    for build in (gaussian.fock_replica, lambda *args: fock.enumerate_basis(4, *args[1:])):
+        with pytest.raises(DimensionLimitError) as info:
+            build(spec, 13, policy)
+        assert str(info.value) == (
+            "basis dimension 2380 exceeds the configured maximum 1820 (4 modes, cutoff 13)"
         )
-    with pytest.raises(ValueError, match=r"\|u\| = 0.3 exceeds the limit 0.1"):
-        gaussian.fock_equivalent_state(
-            SqueezedThermalSpec(0.05, -0.3, 1.0), 8, NumericalPolicy(squeeze_limit=0.1)
-        )
-    with pytest.raises(DimensionLimitError, match="basis dimension"):
-        gaussian.fock_equivalent_state(
-            SqueezedThermalSpec(0.4, 0.3, 1.0), 12, NumericalPolicy(max_dimension=100)
-        )
+
+
+def dense_tail(state):
+    """The weight a dense state misses, from its own amplitudes."""
+    return max(0.0, 1.0 - float(np.sum(np.abs(state.amplitudes) ** 2)))
+
+
+ANGLE_LISTS = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    u=SQUEEZE,
+    v=SQUEEZE,
+    cutoff=st.integers(min_value=2, max_value=20),
+    thetas1=ANGLE_LISTS,
+    thetas2=ANGLE_LISTS,
+)
+def test_beam_blocks_give_the_dense_replica_tables(u, v, cutoff, thetas1, thetas2):
+    spec = SqueezedThermalSpec(u, v, 1.0)
+    replica = gaussian.fock_replica(spec, cutoff)
+    dense = gaussian.fock_equivalent_state(spec, cutoff)
+    assert isinstance(replica, fock.BeamBlockState)
+    got = detection.state_tables(replica)[0](thetas1, thetas2)
+    want = detection.state_tables(dense)[0](thetas1, thetas2)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(np.asarray(g) - np.asarray(w))) <= 1e-15
+    assert abs(replica.truncation_tail - dense_tail(dense)) <= 1e-15
+    assert detection.state_tables(replica)[1] == replica.truncation_tail
+
+
+def test_the_beam_block_state_checks_its_blocks():
+    with pytest.raises(ValueError, match="expected real"):
+        fock.BeamBlockState(4, np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="expected real"):
+        fock.BeamBlockState(4, np.zeros((3, 3, 3), dtype=np.complex128))
+    assert fock.BeamBlockState(5, np.zeros((3, 3, 3))).truncation_tail == 0.0
