@@ -53,7 +53,6 @@ _EXPORTS = {
         "ch_functional",
         "coincidence_probability",
         "polarizer_apply",
-        "vacuum_probability",
     ),
     "coherent": (
         "ClassicalMixture",

@@ -646,21 +646,27 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    shared = {
+        "--engine": dict(choices=_ENGINES),
+        "--cutoff": dict(type=int, help="total-photon cutoff (default 16)"),
+        "--seed": dict(type=int, help="seed for random draws (default 0)"),
+        "--out": dict(help="output path (default stdout)"),
+    }
+
+    def add_common(p, *flags):
+        # each command takes only the shared flags it reads
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--engine", choices=_ENGINES)
-        p.add_argument("--cutoff", type=int, help="total-photon cutoff (default 16)")
-        p.add_argument("--seed", type=int, help="seed for random draws (default 0)")
-        p.add_argument("--out", help="output path (default stdout)")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     run_p = sub.add_parser("run", help="evaluate the CH functional at fixed angles")
-    add_common(run_p)
+    add_common(run_p, "--engine", "--cutoff", "--seed", "--out")
     run_p.add_argument("--state", help="state kind or JSON object")
     run_p.add_argument("--angles", help="four angles, e.g. 'pi/8,pi/4,3pi/8,0'")
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="sweep the squeezed thermal family to CSV")
-    add_common(sweep_p)
+    add_common(sweep_p, "--engine", "--out")
     sweep_p.add_argument("--angles", help="four fixed angles for every sweep point")
     sweep_p.add_argument("--u-start", dest="u_start", type=float)
     sweep_p.add_argument("--u-stop", dest="u_stop", type=float)
@@ -668,14 +674,14 @@ def build_parser():
     sweep_p.set_defaults(func=cmd_sweep)
 
     scan_p = sub.add_parser("scan", help="search all four angles for the best f")
-    add_common(scan_p)
+    add_common(scan_p, "--engine", "--cutoff")
     scan_p.add_argument("--state", help="state kind or JSON object")
     scan_p.add_argument("--grid", type=int, help="grid points per angle (default 16)")
     scan_p.add_argument("--refine", action="store_true", help="polish the best grid point")
     scan_p.set_defaults(func=cmd_scan)
 
     val_p = sub.add_parser("validate", help="run the built-in self checks")
-    add_common(val_p)
+    add_common(val_p, "--cutoff", "--seed")
     val_p.add_argument("--trials", type=int, help="classical suite size (default 200)")
     val_p.set_defaults(func=cmd_validate)
     return parser

@@ -88,13 +88,8 @@ def rate_tables(weights, components, thetas1, thetas2):
     return p_tt, p_t_any, p_any_t, p_any_any
 
 
-def coincidence_probability(z, theta1, theta2):
-    """Joint rate P(theta1, theta2) of a coherent state; None removes a polarizer.
-
-    ``z`` is a CoherentAmplitudes or its four amplitudes.
-    """
-    state = CoherentAmplitudes(getattr(z, "z", z))
-    return detection.single_rate(detection.state_tables(state)[0], theta1, theta2)
+# the rate of any engine's state; bound here for callers of the coherent module
+coincidence_probability = detection.coincidence_probability
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,9 @@ A polarizer conserves the photon number N of its beam, and inside each
 N-photon block of a beam "no photon in the transmitted mode" is a single
 vector (see :func:`_polarizer_vectors`). Every vacuum marginal behind the
 rates is therefore a sum of squared contractions of those vectors with the
-state's amplitudes regrouped by beam photon numbers, and
-:func:`_block_rate_tables` evaluates them for whole grids of angles at once.
+state's amplitudes regrouped into blocks by the beams' photon numbers
+(N1, N2), and :func:`_block_rate_tables` evaluates them for whole grids of
+angles at once, for every kind of Fock state.
 
 The Gaussian and coherent engines produce the same four rate tables, and
 :func:`state_tables` picks the engine for a state. The CH report, the
@@ -97,14 +98,6 @@ class CoincidenceReport:
     verdict: str
 
 
-def vacuum_probability(state, modes):
-    """Probability that every listed mode carries zero photons."""
-    mask = state.basis.vacuum_mask(modes)
-    if isinstance(state, OccupationState):
-        return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
-    return float(np.real(np.sum(np.diag(state.matrix)[mask])))
-
-
 def polarizer_apply(state, theta):
     """Send a two-mode state through a polarizer at angle theta.
 
@@ -133,21 +126,25 @@ def _polarizer_vectors(thetas, cutoff):
 
 
 def _beam_blocks(state):
-    """Amplitudes regrouped by beam photon numbers.
+    """A Fock state as (weights, pairs, blocks): its occupied beam-pair blocks.
 
-    Returns (weights, blocks) with blocks[r, N1, k, N2, l] the amplitude of
-    |k, N1 - k, l, N2 - l> in the r-th pure component, zero where no basis
-    state exists. A pure state is its own single component of weight 1, a
-    mixed state brings its components, and a density operator enters
-    through its eigen-decomposition rho = sum_r weights[r] |psi_r><psi_r|,
-    with signed eigenvalues, so every marginal is the same weighted sum.
-    Eigenvalues within rounding of zero (up to dim * eps * max|lambda|) are
-    dropped, so a rank-r operator brings r components.
+    blocks[r, p, k, l] is the amplitude of |k, N1 - k, l, N2 - l> in the
+    r-th pure component, with (N1, N2) = pairs[p], and zero where k > N1 or
+    l > N2. Only the pairs a state can occupy are listed: N1 + N2 <= cutoff
+    for a state on a basis, at index N1 * side - N1 (N1 - 1) / 2 + N2, and
+    N1 = N2 for a :class:`BeamBlockState`. A pure state is its own single
+    component of weight 1, a mixed state brings its components, and a
+    density operator enters through its eigen-decomposition rho =
+    sum_r weights[r] |psi_r><psi_r|, with signed eigenvalues, so every
+    marginal is the same weighted sum. Eigenvalues within rounding of zero
+    (up to dim * eps * max|lambda|) are dropped, so a rank-r operator
+    brings r components.
     """
+    if isinstance(state, BeamBlockState):
+        photons = np.arange(state.blocks.shape[0])
+        return np.ones(1), np.stack([photons, photons], axis=1), state.blocks[None]
     if state.mode_count != 4:
         raise ValueError("coincidence rates are defined on four-mode states")
-    occ = state.basis.occupations
-    side = state.cutoff + 1
     if isinstance(state, OccupationState):
         weights, vectors = np.ones(1), state.amplitudes[None, :]
     elif isinstance(state, MixedState):
@@ -156,90 +153,77 @@ def _beam_blocks(state):
         weights, columns = np.linalg.eigh(state.matrix)
         rank = np.abs(weights) > weights.size * np.finfo(np.float64).eps * np.abs(weights).max()
         weights, vectors = weights[rank], columns[:, rank].T
-    blocks = np.zeros((weights.size, side, side, side, side), dtype=np.complex128)
-    blocks[:, occ[:, 0] + occ[:, 1], occ[:, 0], occ[:, 2] + occ[:, 3], occ[:, 2]] = vectors
-    return weights, blocks
+    side = state.cutoff + 1
+    pairs = np.array([(n1, n2) for n1 in range(side) for n2 in range(side - n1)])
+    occ = state.basis.occupations
+    n1, n2 = occ[:, 0] + occ[:, 1], occ[:, 2] + occ[:, 3]
+    pair = n1 * side - n1 * (n1 - 1) // 2 + n2
+    blocks = np.zeros((weights.size, len(pairs), side, side), np.result_type(vectors, np.float64))
+    blocks[:, pair, occ[:, 0], occ[:, 2]] = vectors
+    return weights, pairs, blocks
 
 
-def _weighted_norms(weights, values, axes):
-    """sum_r weights[r] * sum over ``axes`` of |values[r, ...]|^2."""
-    squares = values.real ** 2 + values.imag ** 2
-    return np.tensordot(weights, squares.sum(axis=axes), axes=1)
+def _weighted_sum(weights, squares, axes):
+    """sum_r weights[r] * squares[r, ...] summed over ``axes``."""
+    summed = squares.sum(axis=axes)
+    return (weights @ summed.reshape(weights.size, -1)).reshape(summed.shape[1:])
+
+
+def _squares(values):
+    """|values|^2 as a real array, for real or complex values."""
+    squares = values.real**2
+    squares += values.imag**2
+    return squares
 
 
 def _polarize(vectors, blocks):
-    """out[r, N, t, ...] = sum_k vectors[N, t, k] blocks[r, N, k, ...].
+    """out[r, p, t, ...] = sum_k vectors[p, t, k] blocks[r, p, k, ...].
 
     The vectors are real, so one real matrix product handles the real and
-    imaginary parts together, on a float view with a doubled last axis.
+    imaginary parts of complex blocks together, on a float view with a
+    doubled last axis.
     """
-    count, side = blocks.shape[:2]
-    flat = np.ascontiguousarray(blocks).reshape(count, side, side, -1)
-    out = (vectors @ flat.view(np.float64)).view(np.complex128)
-    return out.reshape(count, side, vectors.shape[1], *blocks.shape[3:])
+    flat = np.ascontiguousarray(blocks)
+    return (vectors @ flat.view(np.float64)).view(blocks.dtype)
 
 
-def _swap_beams(blocks):
-    """blocks[r, N1, a, N2, b] -> [r, N2, b, N1, a]."""
-    return blocks.transpose(0, 3, 4, 1, 2)
+def _block_rate_tables(weights, pairs, blocks, thetas1, thetas2):
+    """Rate tables over the grid thetas1 x thetas2 from a state's beam-pair blocks.
 
-
-def _block_rate_tables(beam_blocks, thetas1, thetas2):
-    """Rate tables over the grid thetas1 x thetas2 from precomputed blocks.
-
+    ``(weights, pairs, blocks)`` is the layout of :func:`_beam_blocks`.
     Each rate is an inclusion-exclusion over vacuum marginals; with the
-    polarizer vectors V1, V2 every marginal is a weighted sum of squares:
+    polarizer vectors V1[N1] and V2[N2] of every pair, each marginal is a
+    weighted sum of squares:
 
     - q1 (transmitted mode of beam one empty) and q134 (also beam two
-      empty) from X = V1 . B;
-    - q3 and q123 from Z = B . V2;
-    - q13 (both transmitted modes empty) from Y = V1 . B . V2^T, summed
-      over the beam photon numbers;
+      empty, N2 = 0) from X = V1 . B;
+    - q3 and q123 from Z = V2 . B^T;
+    - q13 (both transmitted modes empty) from Y = X . V2^T, formed as its
+      transpose V2 . X^T;
     - q12, q34 and q_all (whole beams empty) from B itself.
     """
-    weights, blocks = beam_blocks
-    side = blocks.shape[1]
-    v1 = _polarizer_vectors(thetas1, side - 1)
-    v2 = _polarizer_vectors(thetas2, side - 1)
-    x = _polarize(v1, blocks)  # [r, N1, t, N2, l]
-    z = _polarize(v2, _swap_beams(blocks))  # [r, N2, s, N1, k]
-    y = _polarize(v2, _swap_beams(x))  # [r, N2, s, N1, t]
-
-    q1 = _weighted_norms(weights, x, (1, 3, 4))
-    q134 = _weighted_norms(weights, x[:, :, :, 0, 0], 1)
-    q3 = _weighted_norms(weights, z, (1, 3, 4))
-    q123 = _weighted_norms(weights, z[:, :, :, 0, 0], 1)
-    q13 = _weighted_norms(weights, y, (1, 3)).T
-    q12 = float(_weighted_norms(weights, blocks[:, 0, 0], (1, 2)))
-    q34 = float(_weighted_norms(weights, blocks[:, :, :, 0, 0], (1, 2)))
-    q_all = float(_weighted_norms(weights, blocks[:, 0, 0, 0, 0], ()))
-    return rates_from_marginals(q1, q3, q13, q134, q123, q12, q34, q_all)
-
-
-def _pair_block_rate_tables(blocks, thetas1, thetas2):
-    """Rate tables of a :class:`BeamBlockState` from its blocks F[N, k, l].
-
-    The marginals of :func:`_block_rate_tables` restricted to N1 = N2 = N:
-    X = V1 . F, Z = F . V2^T and Y = V1 . F . V2^T, one N-block at a time.
-    Beam one is empty exactly when beam two is, so q12, q34 and q_all are
-    all F[0, 0, 0]^2.
-    """
-    side = blocks.shape[0]
-    v1 = _polarizer_vectors(thetas1, side - 1)  # [N, t, k]
-    v2 = _polarizer_vectors(thetas2, side - 1)  # [N, s, l]
-    x = v1 @ blocks  # [N, t, l]
-    z = v2 @ blocks.transpose(0, 2, 1)  # [N, s, k]
-    y = x @ v2.transpose(0, 2, 1)  # [N, t, s]
-    empty = blocks[0, 0, 0] ** 2
+    top = blocks.shape[-1] - 1
+    n1, n2 = pairs.T
+    count = len(thetas1)
+    vectors = _polarizer_vectors(np.concatenate([thetas1, thetas2]), top)  # [N, t, k]
+    v1, v2 = vectors[n1, :count], vectors[n2, count:]
+    # each amplitude array gives way to its squares once it has been used,
+    # so a state of many components holds few such arrays at a time
+    x = _polarize(v1, blocks)  # [r, p, t, l]
+    q13 = _weighted_sum(weights, _squares(_polarize(v2, x.swapaxes(-1, -2))), 1).T
+    x = _squares(x)
+    z = _squares(_polarize(v2, blocks.swapaxes(-1, -2)))  # [r, p, s, k]
+    b = _squares(blocks)
+    one_empty, two_empty = n1 == 0, n2 == 0
     return rates_from_marginals(
-        (x**2).sum(axis=(0, 2)),
-        (z**2).sum(axis=(0, 2)),
-        (y**2).sum(axis=0),
-        x[0, :, 0] ** 2,
-        z[0, :, 0] ** 2,
-        empty,
-        empty,
-        empty,
+        _weighted_sum(weights, x, (1, 3)),
+        _weighted_sum(weights, z, (1, 3)),
+        q13,
+        _weighted_sum(weights, x[:, two_empty][..., 0], 1),
+        _weighted_sum(weights, z[:, one_empty][..., 0], 1),
+        _weighted_sum(weights, b[:, one_empty], (1, 2, 3)),
+        _weighted_sum(weights, b[:, two_empty], (1, 2, 3)),
+        _weighted_sum(weights, b[:, one_empty & two_empty], (1, 2, 3)),
     )
 
 
@@ -267,16 +251,13 @@ def state_tables(state):
     (p_tt[i, j], p_t_any[i], p_any_t[j], p_any_any): the joint rate with
     polarizers at thetas1[i] and thetas2[j], the rates with only one
     polarizer in place, and the rate with both removed. This is the one
-    place where a state's type picks its engine: Fock states, mixed states
-    and density operators use their beam blocks (a BeamBlockState holds
-    them already), Gaussian states their variance matrix, and coherent
-    states and classical mixtures the closed forms. Raises TypeError for
-    any other type.
+    place where a state's type picks its engine: every Fock state uses its
+    occupied beam-pair blocks (see :func:`_beam_blocks`), Gaussian states
+    their variance matrix, and coherent states and classical mixtures the
+    closed forms. Raises TypeError for any other type.
     """
-    if isinstance(state, (OccupationState, MixedState, DensityOperator)):
-        return partial(_block_rate_tables, _beam_blocks(state)), state.truncation_tail
-    if isinstance(state, BeamBlockState):
-        return partial(_pair_block_rate_tables, state.blocks), state.truncation_tail
+    if isinstance(state, (OccupationState, MixedState, DensityOperator, BeamBlockState)):
+        return partial(_block_rate_tables, *_beam_blocks(state)), state.truncation_tail
     from . import coherent, gaussian
 
     if isinstance(state, gaussian.GaussianState):
@@ -290,27 +271,19 @@ def state_tables(state):
     raise TypeError(f"no rate tables for {type(state).__name__}")
 
 
-def single_rate(rate_tables, theta1, theta2):
-    """P(theta1, theta2) from an engine's rate tables on a 1x1 grid.
+def coincidence_probability(state, theta1, theta2):
+    """Joint rate P(theta1, theta2) on a four-mode state of any engine.
 
-    ``rate_tables(thetas1, thetas2)`` returns the four tables; an angle of
-    None removes that polarizer and picks the matching table.
+    Either angle may be None, meaning that polarizer is removed and the
+    detector watches the full beam; the rate comes from the state's rate
+    tables on a 1x1 grid, picking the matching table.
     """
-    p_tt, p_t_any, p_any_t, p_any_any = rate_tables(
+    p_tt, p_t_any, p_any_t, p_any_any = state_tables(state)[0](
         [0.0 if theta1 is None else theta1], [0.0 if theta2 is None else theta2]
     )
     if theta1 is None:
         return float(p_any_any) if theta2 is None else float(p_any_t[0])
     return float(p_t_any[0]) if theta2 is None else float(p_tt[0, 0])
-
-
-def coincidence_probability(state, theta1, theta2):
-    """Joint rate P(theta1, theta2) on a four-mode state of any engine.
-
-    Either angle may be None, meaning that polarizer is removed and the
-    detector watches the full beam.
-    """
-    return single_rate(state_tables(state)[0], theta1, theta2)
 
 
 _VERDICTS = np.array([NOT_VIOLATED, INCONCLUSIVE, VIOLATED], dtype=object)
@@ -486,7 +459,10 @@ def _compass_step(tables, centre, step):
     neighbourhoods, at most 12 angles. Only settings that keep each angle
     in its own neighbourhood are compared: the other combinations of the
     12 angles jump to distant settings, which turns the polish into a
-    random restart and loses the grid maximum's basin.
+    random restart and loses the grid maximum's basin. As in
+    :func:`scan_angle_tables`, the best setting is the first in C order
+    whose f lies within SCAN_TIE_TOL of the maximum, so settings tied up
+    to rounding do not make the path follow the last bits of the rates.
     """
     points = np.add.outer(centre, (-step, 0.0, step))  # [angle, offset]
     thetas = np.unique(points)
@@ -499,7 +475,7 @@ def _compass_step(tables, centre, step):
            - t[k][None, None, :, None])
         - s[j][None, :, None, None]
     )
-    best = np.unravel_index(int(np.argmax(f)), f.shape)
+    best = np.unravel_index(int(np.argmax(f >= np.max(f) - SCAN_TIE_TOL)), f.shape)
     return points[np.arange(4), best], float(f[best])
 
 

@@ -48,11 +48,6 @@ class FockBasis:
     def index_of(self, occupation):
         return self.index[tuple(int(n) for n in occupation)]
 
-    def vacuum_mask(self, modes):
-        """Boolean mask of basis states with zero photons in every listed mode."""
-        cols = list(modes)
-        return (self.occupations[:, cols] == 0).all(axis=1)
-
 
 @lru_cache(maxsize=None)
 def _build_basis(mode_count, cutoff):

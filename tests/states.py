@@ -11,6 +11,14 @@ def vacuum_state(mode_count, cutoff):
     return fock.number_state((0,) * mode_count, cutoff)
 
 
+def vacuum_probability(state, modes):
+    """Probability that every listed mode carries zero photons."""
+    mask = (state.basis.occupations[:, list(modes)] == 0).all(axis=1)
+    if isinstance(state, fock.OccupationState):
+        return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    return float(np.real(np.sum(np.diag(state.matrix)[mask])))
+
+
 def totals(basis):
     """Total photon number of every basis state."""
     return basis.occupations.sum(axis=1)

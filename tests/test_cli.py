@@ -515,6 +515,24 @@ def test_usage_errors_exit_one_not_inconclusive(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("scan", "--seed", "3"),
+    ("scan", "--out", "{tmp}/x.txt"),
+    ("sweep", "--cutoff", "8"),
+    ("sweep", "--seed", "3"),
+    ("validate", "--engine", "fock"),
+    ("validate", "--out", "{tmp}/x.txt"),
+])
+def test_a_flag_the_command_does_not_read_is_refused(command, flag, value, tmp_path, capsys):
+    value = value.format(tmp=tmp_path)
+    argv = [command, flag, value] + (["--state", "two_photon"] if command == "scan" else [])
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: unrecognized arguments: {flag} {value}\n"
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_help_still_exits_zero(capsys):
     for argv in (["--help"], ["run", "--help"]):
         with pytest.raises(SystemExit) as stop:

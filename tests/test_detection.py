@@ -35,10 +35,10 @@ def test_angle_settings_canonicalize():
 
 def test_vacuum_probability_on_number_states():
     state = fock.number_state((0, 2, 1, 0), 4)
-    assert detection.vacuum_probability(state, (0,)) == 1.0
-    assert detection.vacuum_probability(state, (0, 1)) == 0.0
-    assert detection.vacuum_probability(state, (2, 3)) == 0.0
-    assert detection.vacuum_probability(state, (3,)) == 1.0
+    assert states.vacuum_probability(state, (0,)) == 1.0
+    assert states.vacuum_probability(state, (0, 1)) == 0.0
+    assert states.vacuum_probability(state, (2, 3)) == 0.0
+    assert states.vacuum_probability(state, (3,)) == 1.0
 
 
 def test_polarizer_apply_balanced_single_photon():
@@ -359,20 +359,24 @@ def test_the_first_failing_row_names_the_error():
 # a cutoff of 8 leaves a nonzero truncation tail for the report to carry
 REPLICA = gaussian.fock_equivalent_state(gaussian.SqueezedThermalSpec(0.3, -0.2, 1.0), 8)
 RHO = REPLICA.to_density_operator()
+BLOCKS = gaussian.fock_replica(gaussian.SqueezedThermalSpec(0.3, -0.2, 1.0), 8)
 SQUEEZED = gaussian.build_squeezed_thermal(gaussian.SqueezedThermalSpec(0.4, 0.35, 0.9))
 Z = np.array([0.8, -0.2 + 0.4j, 0.1, 0.9j])
 MIXTURE = coherent.ClassicalMixture(np.array([0.3, 0.7]), [Z, 0.5 * Z[::-1]])
+FOCK_MIXTURE = fock.synthesize_coherent_mixture(MIXTURE.weights, MIXTURE.components, 13)
 
 
 def fock_tables(state):
-    blocks = detection._beam_blocks(state)
-    return lambda t1, t2: detection._block_rate_tables(blocks, t1, t2)
+    layout = detection._beam_blocks(state)
+    return lambda t1, t2: detection._block_rate_tables(*layout, t1, t2)
 
 
 # state type -> (state, that engine's own rate tables, truncation tail)
 ENGINE_STATES = {
     "OccupationState": (REPLICA, fock_tables(REPLICA), REPLICA.truncation_tail),
     "DensityOperator": (RHO, fock_tables(RHO), RHO.truncation_tail),
+    "MixedState": (FOCK_MIXTURE, fock_tables(FOCK_MIXTURE), FOCK_MIXTURE.truncation_tail),
+    "BeamBlockState": (BLOCKS, fock_tables(BLOCKS), BLOCKS.truncation_tail),
     "GaussianState": (
         SQUEEZED,
         lambda t1, t2: gaussian.rate_tables(gaussian.variance_matrix(SQUEEZED), t1, t2),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import states
 from bellsim import detection, fock, gaussian, linear_optics
 from bellsim.coherent import haar_unitary
 from bellsim.detection import AngleSettings
@@ -144,7 +145,7 @@ def test_vacuum_probability_matches_fock_replica():
     replica = gaussian.fock_equivalent_state(spec, 16)
     for modes in [(0,), (2,), (0, 1), (2, 3), (0, 1, 2, 3)]:
         got = gaussian.vacuum_probability(state, modes)
-        want = detection.vacuum_probability(replica, modes)
+        want = states.vacuum_probability(replica, modes)
         assert abs(got - want) < 1e-8
 
 

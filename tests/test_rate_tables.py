@@ -60,16 +60,30 @@ def assert_tables_close(got, want, tol):
         assert np.max(np.abs(np.asarray(g) - np.asarray(w))) < tol
 
 
+def random_beam_block_state(rng, cutoff):
+    """A random BeamBlockState and its dense vector, built without a basis."""
+    side = cutoff // 2 + 1
+    blocks = rng.normal(size=(side, side, side))
+    photons, k, l = np.indices(blocks.shape)
+    blocks[(k > photons) | (l > photons)] = 0.0
+    blocks /= np.linalg.norm(blocks)
+    vec = np.zeros((cutoff + 1) ** 4, dtype=np.complex128)
+    for n, k, l in zip(*np.nonzero(blocks)):
+        vec[oracle.dense_index((k, n - k, l, n - l), cutoff)] = blocks[n, k, l]
+    return fock.BeamBlockState(cutoff, blocks), vec
+
+
 @pytest.mark.parametrize("cutoff", [2, 3, 4])
 def test_tables_match_the_dense_oracle_on_random_pure_states(cutoff, cached_oracle):
     rng = np.random.default_rng(500 + cutoff)
-    state = random_pure_state(rng, cutoff)
+    pure = random_pure_state(rng, cutoff)
     thetas1 = rng.uniform(0.0, np.pi, size=2)
     thetas2 = rng.uniform(0.0, np.pi, size=1)
-    got = state_rate_tables(state, thetas1, thetas2)
-    vectors = [oracle.from_graded(state)]
-    want = oracle_tables(cached_oracle, vectors, [1.0], thetas1, thetas2, cutoff)
-    assert_tables_close(got, want, 1e-9)
+    replica, replica_vec = random_beam_block_state(rng, cutoff)
+    for state, vec in ((pure, oracle.from_graded(pure)), (replica, replica_vec)):
+        got = state_rate_tables(state, thetas1, thetas2)
+        want = oracle_tables(cached_oracle, [vec], [1.0], thetas1, thetas2, cutoff)
+        assert_tables_close(got, want, 1e-9)
 
 
 def test_tables_match_the_dense_oracle_on_a_mixed_state(cached_oracle):
@@ -126,7 +140,7 @@ DENSITY_OPERATORS = {
 def test_density_operators_bring_only_their_rank(name):
     build, rank = DENSITY_OPERATORS[name]
     rho = build()
-    weights, _ = detection._beam_blocks(rho)
+    weights = detection._beam_blocks(rho)[0]
     assert weights.size == rank
     thetas1, thetas2 = np.linspace(0.0, 3.0, 5), np.linspace(0.2, 2.9, 4)
     got = state_rate_tables(rho, thetas1, thetas2)
@@ -190,7 +204,7 @@ def test_removing_a_polarizer_gives_the_beam_wide_rate(seed, cutoff, theta, turn
     assert abs(detection.coincidence_probability(turned_one, None, theta) - p_any_t) < 1e-12
     assert abs(detection.coincidence_probability(turned_two, theta, None) - p_t_any) < 1e-12
 
-    vac = detection.vacuum_probability
+    vac = states.vacuum_probability
     beam_wide = (
         1.0
         - vac(state, detection.BEAM_ONE)

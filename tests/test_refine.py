@@ -139,3 +139,29 @@ def test_polish_keeps_the_grid_point_when_nothing_beats_it():
     assert angles == start and f == 0.0
     assert 0 < len(calls) <= detection.REFINE_MAX_STEPS
     assert max(calls) <= 12
+
+
+@pytest.mark.parametrize("cutoff", [12, 16, 20])
+def test_polish_ignores_the_last_bits_of_the_rates(cutoff):
+    # the u = v = 1 replica's maxima are tied up to rounding; without the
+    # tie rule, noise of 2e-16 in p_tt moves the polished angles by more
+    # than 1e-6 on every one of these runs
+    replica = gaussian.fock_replica(gaussian.SqueezedThermalSpec(1.0, 1.0, 1.0), cutoff)
+    grid_tables = detection.state_tables(replica)[0]
+    thetas = np.arange(8) * math.pi / 8
+
+    def polish(tables):
+        best, grid_f = detection.scan_angle_tables(*tables(thetas), thetas)
+        return detection._refine(tables, best, grid_f, math.pi / 8)
+
+    plain_angles, plain_f = polish(lambda t: grid_tables(t, t))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+
+        def noisy(t):
+            p_tt, *rest = grid_tables(t, t)
+            return (p_tt * (1.0 + 2e-16 * rng.normal(size=p_tt.shape)), *rest)
+
+        angles, f = polish(noisy)
+        assert angles == plain_angles
+        assert abs(f - plain_f) < 1e-12
