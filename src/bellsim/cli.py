@@ -33,20 +33,6 @@ _PI_FRACTION = re.compile(
 
 _ENGINES = ("fock", "gaussian", "analytic", "both")
 _POLICY_KEYS = {f.name for f in dataclasses.fields(NumericalPolicy)}
-_SWEEP_KEYS = {"u_start", "u_stop", "u_step", "scenarios", "kappas"}
-_CONFIG_KEYS = {
-    "engine",
-    "state",
-    "angles",
-    "cutoff",
-    "seed",
-    "out",
-    "grid",
-    "refine",
-    "trials",
-    "policy",
-    "sweep",
-}
 
 DEFAULT_SWEEP = {
     "u_start": 0.0,
@@ -55,7 +41,6 @@ DEFAULT_SWEEP = {
     "scenarios": list(gaussian.SWEEP_SCENARIOS),
     "kappas": [1.0, 0.9, 0.8],
 }
-DEFAULT_ANGLES = ("pi/8", "pi/4", "3pi/8", "0")
 
 CSV_FIELDS = ("u", "v", "kappa", "f", "neg_p_both", "violated")
 
@@ -82,11 +67,13 @@ def parse_angle(value):
         raise ConfigError(f"cannot parse angle {value!r}") from None
 
 
-def _parse_angle_list(values):
+def _parse_angle_list(values, key):
+    if values is None:  # no angles: run draws them, sweep takes its default
+        return None
     if isinstance(values, str):
         values = [part.strip() for part in values.split(",")]
     if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"angles: expected a list or a string, got {values!r}")
+        raise ConfigError(f"{key}: expected a list or a string, got {values!r}")
     if len(values) != 4:
         raise ConfigError(f"expected 4 angles, got {len(values)}")
     return detection.AngleSettings(*(parse_angle(v) for v in values))
@@ -131,16 +118,19 @@ def _as_int(value, context):
         raise ConfigError(f"{context}: expected an integer, got {value!r}") from None
 
 
-def _as_mapping(value, context):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context}: expected an object, got {value!r}")
-    return value
+def _expect(types, shape):
+    """A reader that passes a value of one of ``types`` and refuses any other."""
+
+    def read(value, context):
+        if not isinstance(value, types):
+            raise ConfigError(f"{context}: expected {shape}, got {value!r}")
+        return value
+
+    return read
 
 
-def _as_list(value, context):
-    if not isinstance(value, list):
-        raise ConfigError(f"{context}: expected a list, got {value!r}")
-    return value
+_as_mapping = _expect(dict, "an object")
+_as_list = _expect(list, "a list")
 
 
 def _complex_entry(value, context):
@@ -159,104 +149,114 @@ def _amplitude_list(value, context):
     return [_complex_entry(entry, context) for entry in value]
 
 
+def _read_engine(value, key):
+    if value not in _ENGINES:
+        raise ConfigError(f"unknown engine {value!r}")
+    return value
+
+
+def _int_at_least(low, message):
+    def read(value, key):
+        value = _as_int(value, key)
+        if value < low:
+            raise ConfigError(message)
+        return value
+
+    return read
+
+
+def _read_policy(value, key):
+    policy = _as_mapping(value, "policy")
+    _check_keys(policy, _POLICY_KEYS, "policy")
+    return dataclasses.replace(DEFAULT_POLICY, **{
+        name: (_as_int if name == "max_dimension" else _as_finite)(item, f"policy {name}")
+        for name, item in policy.items()
+    })
+
+
+def _read_sweep(value, key):
+    sweep = _as_mapping(value, "sweep")
+    _check_keys(sweep, set(DEFAULT_SWEEP), "sweep")
+    sweep = dict(DEFAULT_SWEEP, **sweep)
+    for name in ("u_start", "u_stop", "u_step"):
+        sweep[name] = _as_finite(sweep[name], f"sweep {name}")
+    for scenario in _as_list(sweep["scenarios"], "sweep scenarios"):
+        gaussian.scenario_v(scenario, 0.0)
+    sweep["kappas"] = [
+        _as_float(kappa, "sweep kappa") for kappa in _as_list(sweep["kappas"], "sweep kappas")
+    ]
+    return sweep
+
+
+class _Field(typing.NamedTuple):
+    """One setting of a command: its config key, its flag, its reader and its default."""
+
+    key: str  # the config key, and the ExperimentConfig attribute it sets
+    flag: str | None  # None for a key only a config file sets
+    # (value, key) -> setting; None for a flag that sets the field of the key's
+    # object named like the flag, which the key's own reader checks
+    read: typing.Callable | None
+    default: typing.Any  # a config value, read like one; None leaves the setting None
+    options: dict | None  # argparse keywords of the flag
+
+
 @dataclasses.dataclass
 class ExperimentConfig:
-    """Validated, merged settings for one CLI invocation."""
+    """Validated, merged settings for one CLI invocation; None where the command has none."""
 
     engine: str | None = None
     state: dict | None = None
     angles: detection.AngleSettings | None = None
-    cutoff: int = 16
-    seed: int = 0
+    cutoff: int | None = None
+    seed: int | None = None
     out: str | None = None
-    grid: int = 16
-    refine: bool = False
-    trials: int = 200
-    policy: NumericalPolicy = DEFAULT_POLICY
-    sweep: dict = dataclasses.field(default_factory=lambda: dict(DEFAULT_SWEEP))
+    grid: int | None = None
+    refine: bool | None = None
+    trials: int | None = None
+    policy: NumericalPolicy | None = None
+    sweep: dict | None = None
 
     @classmethod
     def load(cls, args):
-        raw = {}
-        if args.config:
-            with open(args.config, encoding="utf-8") as handle:
-                raw = json.load(handle)
-            if not isinstance(raw, dict):
-                raise ConfigError("config file must hold a JSON object")
-        _check_keys(raw, _CONFIG_KEYS, "config")
+        """Each setting of the command from its flag, else its config key, else its default."""
+        _, fields, _ = _COMMANDS[args.command]
+        given = vars(args)
+        merged = {}
+        if given.get("config"):
+            with open(given["config"], encoding="utf-8") as handle:
+                merged = _as_mapping(json.load(handle), "config file")
+            refused = sorted(set(merged) - {field.key for field in fields})
+            if refused:
+                raise ConfigError(
+                    f"config: {args.command} does not read {', '.join(map(repr, refused))}"
+                )
+        for field in fields:
+            name = field.flag and field.flag[2:].replace("-", "_")
+            if name not in given:
+                continue
+            if name == field.key:
+                merged[name] = given[name]
+            else:  # --u-start and the like set a field of the nested object
+                nested = _as_mapping(merged.get(field.key, {}), field.key)
+                merged[field.key] = dict(nested, **{name: given[name]})
 
-        merged = dict(raw)
-        for name in ("engine", "cutoff", "seed", "out", "grid", "trials"):
-            value = getattr(args, name, None)
-            if value is not None:
-                merged[name] = value
-        if getattr(args, "refine", False):
-            merged["refine"] = True
-        if getattr(args, "state", None) is not None:
-            merged["state"] = args.state
-        if getattr(args, "angles", None) is not None:
-            merged["angles"] = args.angles
-        for name in ("u_start", "u_stop", "u_step"):
-            value = getattr(args, name, None)
-            if value is not None:
-                merged.setdefault("sweep", {})
-                merged["sweep"] = dict(merged["sweep"], **{name: value})
-
-        config = cls()
-        if "engine" in merged:
-            engine = merged["engine"]
-            if engine not in _ENGINES:
-                raise ConfigError(f"unknown engine {engine!r}")
-            config.engine = engine
-        if "state" in merged:
-            config.state = _normalize_state(merged["state"])
-        if "angles" in merged and merged["angles"] is not None:
-            config.angles = _parse_angle_list(merged["angles"])
-        for name in ("cutoff", "seed", "grid", "trials"):
-            if name in merged:
-                setattr(config, name, _as_int(merged[name], name))
-        if config.cutoff < 1:
-            raise ConfigError("cutoff must be at least 1")
-        if config.trials < 0:
-            raise ConfigError("trials must not be negative")
-        if "out" in merged:
-            if not isinstance(merged["out"], (str, type(None))):
-                raise ConfigError(f"out: expected a path, got {merged['out']!r}")
-            config.out = merged["out"]
-        if "refine" in merged:
-            if not isinstance(merged["refine"], bool):
-                raise ConfigError(f"refine: expected true or false, got {merged['refine']!r}")
-            config.refine = merged["refine"]
-        if "policy" in merged:
-            policy = _as_mapping(merged["policy"], "policy")
-            _check_keys(policy, _POLICY_KEYS, "policy")
-            overrides = {}
-            for name, value in policy.items():
-                read = _as_int if name == "max_dimension" else _as_finite
-                overrides[name] = read(value, f"policy {name}")
-            config.policy = dataclasses.replace(DEFAULT_POLICY, **overrides)
-        if "sweep" in merged:
-            sweep = _as_mapping(merged["sweep"], "sweep")
-            _check_keys(sweep, _SWEEP_KEYS, "sweep")
-            config.sweep = dict(DEFAULT_SWEEP, **sweep)
-            for name in ("u_start", "u_stop", "u_step"):
-                config.sweep[name] = _as_finite(config.sweep[name], f"sweep {name}")
-            for scenario in _as_list(config.sweep["scenarios"], "sweep scenarios"):
-                gaussian.scenario_v(scenario, 0.0)
-            config.sweep["kappas"] = [
-                _as_float(kappa, "sweep kappa")
-                for kappa in _as_list(config.sweep["kappas"], "sweep kappas")
-            ]
-        return config
+        # read in ExperimentConfig's field order, whatever the flag order of the row
+        readers = {field.key: field for field in fields if field.read}
+        settings = {}
+        for key in (f.name for f in dataclasses.fields(cls) if f.name in readers):
+            read, default = readers[key].read, readers[key].default
+            value = read(merged[key], key) if key in merged else None
+            settings[key] = read(default, key) if value is None and default is not None else value
+        return cls(**settings)
 
 
-def _normalize_state(spec):
+def _normalize_state(spec, key):
     """Accept a state as a dict, a JSON string, or a bare kind name."""
     if isinstance(spec, str):
         text = spec.strip()
         spec = json.loads(text) if text.startswith("{") else {"kind": text}
     if not isinstance(spec, dict):
-        raise ConfigError(f"state must be a name or an object, got {type(spec).__name__}")
+        raise ConfigError(f"{key} must be a name or an object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind not in _KINDS:
         known = ", ".join(sorted(_KINDS))
@@ -277,9 +277,7 @@ def _state_file(spec, engine, config):
     if not isinstance(spec["path"], str):
         raise ConfigError(f"state file path: expected a string, got {spec['path']!r}")
     with open(spec["path"], encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ConfigError("state file must hold a JSON object")
+        data = _as_mapping(json.load(handle), "state file")
     _check_keys(
         data,
         {"mode_count", "cutoff", "amplitudes"},
@@ -405,14 +403,13 @@ def _format(value):
     return "%.17g" % value
 
 
+_ANGLES_LINE = "theta1=%.6f theta2=%.6f theta1'=%.6f theta2'=%.6f"
+
+
 def _print_report(report, label=None):
-    angles = report.angles
     if label:
         print(label)
-    print(
-        "angles: theta1=%.6f theta2=%.6f theta1'=%.6f theta2'=%.6f"
-        % (angles.theta1, angles.theta2, angles.theta1_alt, angles.theta2_alt)
-    )
+    print("angles: " + _ANGLES_LINE % dataclasses.astuple(report.angles))
     print(
         "P(t1,t2)=%.12f  P(t1,t2')=%.12f  P(t1',t2)=%.12f  P(t1',t2')=%.12f"
         % (report.p_tt, report.p_t_talt, report.p_talt_t, report.p_talt_talt)
@@ -451,10 +448,6 @@ def _report_csv(report):
     return [head + ",verdict\n", ",".join(cells) + "\n"]
 
 
-def _exit_code(report):
-    return 2 if report.verdict == detection.INCONCLUSIVE else 0
-
-
 def cmd_run(config):
     """Evaluate the CH functional once and print the full report."""
     engine = _resolve_engine(config)
@@ -480,26 +473,24 @@ def cmd_run(config):
         _print_report(reports[0])
     if config.out:
         _write_lines(config.out, _report_csv(reports[0]))
-    return _exit_code(reports[0])
+    return 2 if reports[0].verdict == detection.INCONCLUSIVE else 0
 
 
 def cmd_sweep(config):
     """Sweep the squeezed thermal family and emit the plot CSV."""
     if config.engine not in (None, "gaussian"):
         raise ConfigError("sweep uses the gaussian engine")
-    angles = config.angles or _parse_angle_list(DEFAULT_ANGLES)
     sweep = config.sweep
-    step = float(sweep["u_step"])
+    start, stop, step = sweep["u_start"], sweep["u_stop"], sweep["u_step"]
     if step <= 0.0:
         raise ConfigError("u_step must be positive")
-    start, stop = float(sweep["u_start"]), float(sweep["u_stop"])
     if stop < start:
         raise ConfigError("u_stop must not be below u_start")
     count = int(round((stop - start) / step)) + 1
     u_values = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
 
     rows = gaussian.sweep_rows(
-        u_values, sweep["scenarios"], sweep["kappas"], angles, config.policy
+        u_values, sweep["scenarios"], sweep["kappas"], config.angles, config.policy
     )
     lines = [",".join(CSV_FIELDS) + "\n"]
     for row in rows:
@@ -519,10 +510,7 @@ def cmd_scan(config):
     state = build_state(config, engine)
     result = detection.angle_scan(state, grid_density=config.grid, refine=config.refine)
     best = result.angles
-    print(
-        "best angles: theta1=%.6f theta2=%.6f theta1'=%.6f theta2'=%.6f"
-        % (best.theta1, best.theta2, best.theta1_alt, best.theta2_alt)
-    )
+    print("best angles: " + _ANGLES_LINE % dataclasses.astuple(best))
     print(f"grid f = {result.grid_f:.12f} over {result.grid_density}^4 points")
     if result.refined:
         print(f"refined f = {result.f:.12f}")
@@ -548,25 +536,20 @@ def run_validation(
     lines = []
     ok = True
 
-    worst_golden = 0.0
-    for u in (0.25, 0.5, 1.0):
-        state = gaussian.GaussianState(
-            np.diag([math.exp(-2.0 * u), math.exp(2.0 * u)])
-        )
-        gap = abs(gaussian.vacuum_probability(state, (0,)) - 1.0 / math.cosh(u))
-        worst_golden = max(worst_golden, gap)
-    for kappa in (0.5, 0.8, 1.0):
-        state = gaussian.build_squeezed_thermal(
-            gaussian.SqueezedThermalSpec(0.0, 0.0, kappa)
-        )
-        gap = abs(
-            gaussian.vacuum_probability(state, (0,)) - 2.0 * kappa / (1.0 + kappa)
-        )
-        worst_golden = max(worst_golden, gap)
-    for u in (0.25, 0.5, 1.0):
-        state = gaussian.build_squeezed_thermal(gaussian.SqueezedThermalSpec(u, 0.0, 1.0))
-        gap = abs(gaussian.is_squeezed(state)[1] - math.exp(-2.0 * u) / 2.0)
-        worst_golden = max(worst_golden, gap)
+    def vacuum(state):
+        return gaussian.vacuum_probability(state, (0,))
+
+    def thermal(u, kappa):
+        return gaussian.build_squeezed_thermal(gaussian.SqueezedThermalSpec(u, 0.0, kappa))
+
+    def single_mode(u):
+        return gaussian.GaussianState(np.diag([math.exp(-2.0 * u), math.exp(2.0 * u)]))
+
+    us = (0.25, 0.5, 1.0)
+    gaps = [abs(vacuum(single_mode(u)) - 1.0 / math.cosh(u)) for u in us]
+    gaps += [abs(vacuum(thermal(0.0, k)) - 2.0 * k / (1.0 + k)) for k in (0.5, 0.8, 1.0)]
+    gaps += [abs(gaussian.is_squeezed(thermal(u, 1.0))[1] - math.exp(-2 * u) / 2) for u in us]
+    worst_golden = max(gaps)
     golden_ok = worst_golden <= golden_tol
     ok = ok and golden_ok
     lines.append(
@@ -639,51 +622,64 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+_ENGINE = _Field("engine", "--engine", _read_engine, None, dict(choices=_ENGINES))
+_STATE = _Field("state", "--state", _normalize_state, None, dict(help="state kind or JSON object"))
+_CUTOFF = _Field("cutoff", "--cutoff", _int_at_least(1, "cutoff must be at least 1"), 16,
+                 dict(type=int, help="total-photon cutoff (default 16)"))
+_SEED = _Field("seed", "--seed", _as_int, 0,
+               dict(type=int, help="seed for random draws (default 0)"))
+_OUT = _Field("out", "--out", _expect((str, type(None)), "a path"), None,
+              dict(help="output path (default stdout)"))
+_POLICY = _Field("policy", None, _read_policy, {}, None)
+
+# name -> (help, the settings the command reads, in flag order, the command).
+# A command takes only these flags and config keys; flags win over the file.
+_COMMANDS = {
+    "run": ("evaluate the CH functional at fixed angles", (
+        _ENGINE, _CUTOFF, _SEED, _OUT, _STATE,
+        _Field("angles", "--angles", _parse_angle_list, None,
+               dict(help="four angles, e.g. 'pi/8,pi/4,3pi/8,0'")),
+        _POLICY,
+    ), cmd_run),
+    "sweep": ("sweep the squeezed thermal family to CSV", (
+        _ENGINE, _OUT,
+        _Field("angles", "--angles", _parse_angle_list, "pi/8,pi/4,3pi/8,0",
+               dict(help="four fixed angles for every sweep point")),
+        *(_Field("sweep", flag, None, None, dict(type=float))
+          for flag in ("--u-start", "--u-stop", "--u-step")),
+        _POLICY,
+        _Field("sweep", None, _read_sweep, {}, None),
+    ), cmd_sweep),
+    "scan": ("search all four angles for the best f", (
+        _ENGINE, _CUTOFF, _STATE,
+        _Field("grid", "--grid", _as_int, 16,
+               dict(type=int, help="grid points per angle (default 16)")),
+        _Field("refine", "--refine", _expect(bool, "true or false"), False,
+               dict(action="store_true", help="polish the best grid point")),
+        _POLICY,
+    ), cmd_scan),
+    "validate": ("run the built-in self checks", (
+        _CUTOFF, _SEED,
+        _Field("trials", "--trials", _int_at_least(0, "trials must not be negative"), 200,
+               dict(type=int, help="classical suite size (default 200)")),
+        _POLICY,
+    ), cmd_validate),
+}
+
+
 def build_parser():
     parser = _Parser(
         prog="bellsim",
         description="Generalized Clauser-Horne tests on four-mode field states.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    shared = {
-        "--engine": dict(choices=_ENGINES),
-        "--cutoff": dict(type=int, help="total-photon cutoff (default 16)"),
-        "--seed": dict(type=int, help="seed for random draws (default 0)"),
-        "--out": dict(help="output path (default stdout)"),
-    }
-
-    def add_common(p, *flags):
-        # each command takes only the shared flags it reads
-        p.add_argument("--config", help="JSON config file")
-        for flag in flags:
-            p.add_argument(flag, **shared[flag])
-
-    run_p = sub.add_parser("run", help="evaluate the CH functional at fixed angles")
-    add_common(run_p, "--engine", "--cutoff", "--seed", "--out")
-    run_p.add_argument("--state", help="state kind or JSON object")
-    run_p.add_argument("--angles", help="four angles, e.g. 'pi/8,pi/4,3pi/8,0'")
-    run_p.set_defaults(func=cmd_run)
-
-    sweep_p = sub.add_parser("sweep", help="sweep the squeezed thermal family to CSV")
-    add_common(sweep_p, "--engine", "--out")
-    sweep_p.add_argument("--angles", help="four fixed angles for every sweep point")
-    sweep_p.add_argument("--u-start", dest="u_start", type=float)
-    sweep_p.add_argument("--u-stop", dest="u_stop", type=float)
-    sweep_p.add_argument("--u-step", dest="u_step", type=float)
-    sweep_p.set_defaults(func=cmd_sweep)
-
-    scan_p = sub.add_parser("scan", help="search all four angles for the best f")
-    add_common(scan_p, "--engine", "--cutoff")
-    scan_p.add_argument("--state", help="state kind or JSON object")
-    scan_p.add_argument("--grid", type=int, help="grid points per angle (default 16)")
-    scan_p.add_argument("--refine", action="store_true", help="polish the best grid point")
-    scan_p.set_defaults(func=cmd_scan)
-
-    val_p = sub.add_parser("validate", help="run the built-in self checks")
-    add_common(val_p, "--cutoff", "--seed")
-    val_p.add_argument("--trials", type=int, help="classical suite size (default 200)")
-    val_p.set_defaults(func=cmd_validate)
+    for name, (help_text, fields, _) in _COMMANDS.items():
+        # a flag left out is absent from the parsed arguments, not None
+        command = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        command.add_argument("--config", help="JSON config file")
+        for field in fields:
+            if field.flag:
+                command.add_argument(field.flag, **field.options)
     return parser
 
 
@@ -692,9 +688,10 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         config = ExperimentConfig.load(args)
-        return args.func(config)
-    except (BellSimError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return _COMMANDS[args.command][2](config)
+    except (BellSimError, ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection
-from .fock import synthesize_coherent_mixture
 from .policy import DEFAULT_POLICY
 
 _WEIGHT_SUM_TOL = 1e-12
@@ -88,10 +87,6 @@ def rate_tables(weights, components, thetas1, thetas2):
     return p_tt, p_t_any, p_any_t, p_any_any
 
 
-# the rate of any engine's state; bound here for callers of the coherent module
-coincidence_probability = detection.coincidence_probability
-
-
 @dataclass(frozen=True)
 class ClassicalMixture:
     """Finite positive mixture of four-mode coherent states."""
@@ -139,17 +134,6 @@ def mixture_ch(mixture, angles, policy=DEFAULT_POLICY):
     return detection.ch_functional(mixture, angles, policy)
 
 
-def mixture_fock_report(mixture, angles, cutoff, policy=DEFAULT_POLICY):
-    """Fock-engine CH report of a mixture, its components synthesized at a total cutoff.
-
-    The rates are linear in the state, so the mixed state of the pure
-    components gives the weight average of their rates; the report's
-    error bar is the weighted truncation tail.
-    """
-    state = synthesize_coherent_mixture(mixture.weights, mixture.components, cutoff, policy)
-    return detection.ch_functional(state, angles, policy)
-
-
 @dataclass(frozen=True)
 class SuiteReport:
     """Outcome of the classical nonviolation sweep."""
@@ -176,17 +160,6 @@ def _mixture_draws(rng, max_components=_MAX_COMPONENTS, amplitude_scale=2.0):
 def _complex(parts):
     """parts[0] + i parts[1]: complex numbers from their drawn real and imaginary parts."""
     return parts[0] + 1j * parts[1]
-
-
-def random_mixture(rng, max_components=_MAX_COMPONENTS, amplitude_scale=2.0):
-    """Draw a classical mixture: flat simplex weights, box-uniform amplitudes."""
-    weights, parts = _mixture_draws(rng, max_components, amplitude_scale)
-    return ClassicalMixture(weights, _complex(parts))
-
-
-def haar_unitary(rng, n=4):
-    """Haar-distributed U(n) via QR of a complex Gaussian matrix."""
-    return _haar_from_gaussian(_complex(rng.normal(size=(2, n, n))))
 
 
 def _haar_from_gaussian(m):

@@ -242,10 +242,6 @@ def rate_tables(v, thetas1, thetas2):
     return detection.rates_from_marginals(q1, q3, q13, q134, q123, q12, q34, q_all)
 
 
-# the rate of any engine's state; bound here for callers of the Gaussian module
-coincidence_probability = detection.coincidence_probability
-
-
 def _coupled_beam_blocks(coupling, top):
     """Blocks F[N, k, l] of exp(a^T C b)|0>, for N = 0..top.
 

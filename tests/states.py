@@ -1,10 +1,11 @@
-"""Fock-state helpers the tests share; the package itself needs none of them."""
+"""State helpers the tests share; the package itself needs none of them."""
 
 import math
 
 import numpy as np
 
-from bellsim import fock
+from bellsim import coherent, detection, fock
+from bellsim.policy import DEFAULT_POLICY
 
 
 def vacuum_state(mode_count, cutoff):
@@ -55,3 +56,29 @@ def squeezed_vacuum_amplitudes(u, cutoff):
         c *= -t * math.sqrt((2 * m - 1) / (2 * m))
         amp[2 * m] = c
     return amp
+
+
+def random_mixture(rng, **draws):
+    """Draw a classical mixture: flat simplex weights, box-uniform amplitudes.
+
+    Takes the keywords of ``coherent._mixture_draws`` (``max_components``,
+    ``amplitude_scale``) and draws what each classical-suite trial draws.
+    """
+    weights, parts = coherent._mixture_draws(rng, **draws)
+    return coherent.ClassicalMixture(weights, coherent._complex(parts))
+
+
+def haar_unitary(rng, n=4):
+    """Haar-distributed U(n) via QR of a complex Gaussian matrix."""
+    return coherent._haar_from_gaussian(coherent._complex(rng.normal(size=(2, n, n))))
+
+
+def mixture_fock_report(mixture, angles, cutoff, policy=DEFAULT_POLICY):
+    """Fock-engine CH report of a mixture, its components synthesized at a total cutoff.
+
+    The rates are linear in the state, so the mixed state of the pure
+    components gives the weight average of their rates; the report's
+    error bar is the weighted truncation tail.
+    """
+    state = fock.synthesize_coherent_mixture(mixture.weights, mixture.components, cutoff, policy)
+    return detection.ch_functional(state, angles, policy)

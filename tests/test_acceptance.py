@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracle
+import states
 from bellsim import coherent, detection, fock, gaussian, linear_optics
 from bellsim.detection import AngleSettings
 from bellsim.gaussian import SqueezedThermalSpec
@@ -26,8 +27,8 @@ def announce(capsys, number, label, ok):
 def classical_trial_inputs(seed, trial, amplitude_scale):
     # replays the documented sampling recipe of nonviolation_trial
     rng = np.random.default_rng([seed, trial])
-    mixture = coherent.random_mixture(rng, amplitude_scale=amplitude_scale)
-    mixture = mixture.transformed(coherent.haar_unitary(rng))
+    mixture = states.random_mixture(rng, amplitude_scale=amplitude_scale)
+    mixture = mixture.transformed(states.haar_unitary(rng))
     angles = AngleSettings(*rng.uniform(0.0, np.pi, size=4))
     return mixture, angles
 
@@ -45,7 +46,7 @@ def test_criterion_01_classical_nonviolation(capsys):
         closed = coherent.mixture_ch(mixture, angles)
         replay = coherent.nonviolation_trial(SEED, trial, amplitude_scale=0.5)
         assert closed.f == replay.f
-        numeric = coherent.mixture_fock_report(mixture, angles, cutoff=16)
+        numeric = states.mixture_fock_report(mixture, angles, cutoff=16)
         worst_gap = max(worst_gap, abs(closed.f - numeric.f))
 
     ok = (
@@ -71,10 +72,10 @@ def test_criterion_02_coherent_factorization(capsys):
         z = rng.normal(size=4) * 1.5 + 1j * rng.normal(size=4) * 1.5
         amp = coherent.CoherentAmplitudes(z)
         t1, t2 = rng.uniform(0.0, np.pi, size=2)
-        joint = coherent.coincidence_probability(amp, t1, t2)
-        both = coherent.coincidence_probability(amp, None, None)
-        left = coherent.coincidence_probability(amp, t1, None)
-        right = coherent.coincidence_probability(amp, None, t2)
+        joint = detection.coincidence_probability(amp, t1, t2)
+        both = detection.coincidence_probability(amp, None, None)
+        left = detection.coincidence_probability(amp, t1, None)
+        right = detection.coincidence_probability(amp, None, t2)
         worst = max(worst, abs(joint * both - left * right))
     ok = worst <= 1e-12
     announce(capsys, 2, "coherent factorization", ok)
@@ -121,10 +122,10 @@ def test_criterion_04_reduction_identities(capsys):
     gap_partition = 0.0
     for t1, t2 in rng.uniform(0.0, np.pi, size=(50, 2)):
         transmitted = np.cos(t1) * z[0] - np.sin(t1) * z[1]
-        p_beam = coherent.coincidence_probability(amp, t1, None)
+        p_beam = detection.coincidence_probability(amp, t1, None)
         gap_count = max(gap_count, abs(p_beam - abs(transmitted) ** 2))
-        joint = coherent.coincidence_probability(amp, t1, t2)
-        joint_perp = coherent.coincidence_probability(amp, t1, t2 + np.pi / 2)
+        joint = detection.coincidence_probability(amp, t1, t2)
+        joint_perp = detection.coincidence_probability(amp, t1, t2 + np.pi / 2)
         gap_partition = max(gap_partition, abs(joint + joint_perp - p_beam))
 
     ok = (
@@ -171,7 +172,7 @@ def test_criterion_06_cross_engine_rates(capsys):
             replica = gaussian.fock_equivalent_state(spec, 20)
             for t1, t2 in settings:
                 for a, b in ((t1, t2), (t1, None), (None, t2), (None, None)):
-                    got = gaussian.coincidence_probability(state, a, b)
+                    got = detection.coincidence_probability(state, a, b)
                     want = detection.coincidence_probability(replica, a, b)
                     worst = max(worst, abs(got - want))
     ok = worst <= 1e-6
@@ -250,7 +251,7 @@ def test_criterion_10_uncertainty_preservation(capsys):
         )
         state = gaussian.build_squeezed_thermal(spec)
         moved = gaussian.apply_symplectic(
-            state, gaussian.embed_passive(coherent.haar_unitary(rng))
+            state, gaussian.embed_passive(states.haar_unitary(rng))
         )
         herm = gaussian.variance_matrix(moved) + 0.5j * beta
         worst_eig = min(worst_eig, float(np.min(np.linalg.eigvalsh(herm))))

@@ -149,17 +149,70 @@ def test_engine_constraints(tmp_path, capsys):
 
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
     cases = [
-        {"stat": {"kind": "vacuum"}},
-        {"state": {"kind": "vacuum", "extra": 1}},
-        {"state": {"kind": "vacuum"}, "policy": {"nope": 1}},
-        {"state": {"kind": "vacuum"}, "sweep": {"u_maximum": 2.0}},
+        ("run", {"stat": {"kind": "vacuum"}}, "config: run does not read 'stat'"),
+        ("run", {"state": {"kind": "vacuum", "extra": 1}}, "unknown state[vacuum] field(s): extra"),
+        ("run", {"state": {"kind": "vacuum"}, "policy": {"nope": 1}},
+         "unknown policy field(s): nope"),
+        # on a command that reads sweep, so the nested key is what is refused
+        ("sweep", {"sweep": {"u_maximum": 2.0}}, "unknown sweep field(s): u_maximum"),
     ]
-    for i, payload in enumerate(cases):
+    for i, (command, payload, error) in enumerate(cases):
         cfg = tmp_path / f"bad{i}.json"
         cfg.write_text(json.dumps(payload))
-        code, _, err = run_cli(["run", "--config", str(cfg)], capsys)
-        assert code == 1
-        assert "error:" in err
+        code, out, err = run_cli([command, "--config", str(cfg)], capsys)
+        assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+# the config keys each command reads, written out rather than read from cli._COMMANDS
+COMMAND_KEYS = {
+    "run": {"engine", "state", "angles", "cutoff", "seed", "out", "policy"},
+    "sweep": {"engine", "angles", "out", "policy", "sweep"},
+    "scan": {"engine", "state", "cutoff", "grid", "refine", "policy"},
+    "validate": {"cutoff", "seed", "trials", "policy"},
+}
+# a well-formed value for every key any command reads, and one no command reads
+KEY_VALUES = {
+    "engine": "fock", "state": "two_photon", "angles": "0,0,0,0", "cutoff": 8, "seed": 4,
+    "out": "never.txt", "policy": {}, "sweep": {}, "grid": 4, "refine": True, "trials": 0,
+    "stat": "vacuum",
+}
+REFUSED_KEYS = [
+    pytest.param(command, {key: KEY_VALUES[key]}, [], id=f"{command}-{key}")
+    for command, keys in COMMAND_KEYS.items()
+    for key in sorted(set(KEY_VALUES) - keys)
+] + [
+    # a scan that took these keys used to exit 0 and write no file
+    pytest.param("scan", {"out": "never.txt", "seed": 4}, ["--state", "two_photon", "--grid", "4"],
+                 id="scan-out-seed"),
+]
+
+
+def test_each_command_reads_exactly_its_config_keys():
+    for command, (_, fields, _) in cli._COMMANDS.items():
+        assert {field.key for field in fields} == COMMAND_KEYS[command], command
+
+
+def test_the_readme_table_lists_each_command_flags_and_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| `") and "--config" in line]
+    want = []
+    for name, (_, fields, _) in cli._COMMANDS.items():
+        flags = " ".join(["--config"] + [field.flag for field in fields if field.flag])
+        keys = " ".join(dict.fromkeys(field.key for field in fields))
+        want.append(f"| `{name}` | `{flags}` | `{keys}` |")
+    assert rows == want
+
+
+@pytest.mark.parametrize("command, config, extra", REFUSED_KEYS)
+def test_a_config_key_the_command_does_not_read_is_refused(
+    command, config, extra, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    code, out, err = run_cli([command, "--config", "c.json", *extra], capsys)
+    refused = ", ".join(repr(key) for key in sorted(config))
+    assert (code, out, err) == (1, "", f"error: config: {command} does not read {refused}\n")
+    assert not (tmp_path / "never.txt").exists()
 
 
 def test_config_file_merges_with_flags(tmp_path, capsys):
@@ -501,18 +554,22 @@ def test_each_engine_runs_exactly_the_kinds_it_can_evaluate(kind, engine, tmp_pa
         assert repr(engine) in err and repr(kind) in err
 
 
-def test_usage_errors_exit_one_not_inconclusive(capsys):
-    for argv in (
-        [],
-        ["run", "--bogus"],
-        ["run", "--engine", "warp"],
-        ["scan", "--grid", "many"],
-        ["teleport"],
-    ):
-        code, out, err = run_cli(argv, capsys)
-        assert code == 1, argv
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+@pytest.mark.parametrize("argv", [
+    [],
+    ["run", "--bogus"],
+    ["run", "--engine", "warp"],
+    ["scan", "--grid", "many"],
+    ["teleport"],
+    # sizes past the address space: the first array fails at once, whatever
+    # the overcommit setting, and nothing is allocated
+    ["validate", "--trials", str(10**15)],
+    ["scan", "--state", "two_photon", "--grid", str(10**15)],
+], ids=" ".join)
+def test_usage_errors_exit_one_not_inconclusive(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -531,6 +588,15 @@ def test_a_flag_the_command_does_not_read_is_refused(command, flag, value, tmp_p
     assert out == ""
     assert err == f"error: unrecognized arguments: {flag} {value}\n"
     assert not (tmp_path / "x.txt").exists()
+
+
+def test_a_memory_error_without_a_message_is_named(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(detection, "angle_scan", exhausted)
+    code, out, err = run_cli(["scan", "--state", "two_photon"], capsys)
+    assert (code, out, err) == (1, "", "error: MemoryError\n")
 
 
 def test_help_still_exits_zero(capsys):
@@ -829,15 +895,18 @@ def test_importing_the_cli_after_numpy_leaves_the_environment_alone():
 def test_malformed_config_shapes_are_errors(config, tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
-    argv = ["run", "--config", str(path)]
-    if "state" not in config:
+    # each case runs on a command that reads its key, so its reader is what refuses it
+    command = "sweep" if "sweep" in config else "scan" if "refine" in config else "run"
+    argv = [command, "--config", str(path)]
+    if command != "sweep" and "state" not in config:
         argv += ["--state", "two_photon"]
-    if "angles" not in config:
+    if command == "run" and "angles" not in config:
         argv += ["--angles", "0,0,0,0"]
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "does not read" not in err
     cutoff = config.get("cutoff")
     if isinstance(cutoff, float) and not math.isfinite(cutoff):
         assert "must be finite" in err

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import states
 from bellsim import coherent, detection, fock
 from bellsim.detection import AngleSettings
 
@@ -18,7 +19,7 @@ def test_coherent_rates_match_fock_synthesis():
         z = 0.45 * (rng.normal(size=4) + 1j * rng.normal(size=4))
         state = fock.synthesize_coherent(z, 14)
         for t1, t2 in [(0.3, 1.0), (1.7, None), (None, None)]:
-            closed = coherent.coincidence_probability(coherent.CoherentAmplitudes(z), t1, t2)
+            closed = detection.coincidence_probability(coherent.CoherentAmplitudes(z), t1, t2)
             numeric = detection.coincidence_probability(state, t1, t2)
             assert abs(closed - numeric) < 1e-9
 
@@ -31,10 +32,10 @@ def test_beam_rates_factorize_exactly():
         z = rng.normal(size=4) * 1.5 + 1j * rng.normal(size=4) * 1.5
         amp = coherent.CoherentAmplitudes(z)
         t1, t2 = rng.uniform(0.0, np.pi, size=2)
-        joint = coherent.coincidence_probability(amp, t1, t2)
-        left = coherent.coincidence_probability(amp, t1, None)
-        right = coherent.coincidence_probability(amp, None, t2)
-        both = coherent.coincidence_probability(amp, None, None)
+        joint = detection.coincidence_probability(amp, t1, t2)
+        left = detection.coincidence_probability(amp, t1, None)
+        right = detection.coincidence_probability(amp, None, t2)
+        both = detection.coincidence_probability(amp, None, None)
         assert abs(joint * both - left * right) < 1e-12
 
 
@@ -78,9 +79,9 @@ def test_mixture_rates_are_convex_combinations():
     mix = coherent.ClassicalMixture(np.array([0.3, 0.7]), [z1, z2])
     for t1, t2 in [(0.2, 0.9), (1.3, None)]:
         got = detection.coincidence_probability(mix, t1, t2)
-        want = 0.3 * coherent.coincidence_probability(
+        want = 0.3 * detection.coincidence_probability(
             coherent.CoherentAmplitudes(z1), t1, t2
-        ) + 0.7 * coherent.coincidence_probability(
+        ) + 0.7 * detection.coincidence_probability(
             coherent.CoherentAmplitudes(z2), t1, t2
         )
         assert abs(got - want) < 1e-14
@@ -102,8 +103,8 @@ def test_mixture_validation():
 
 def test_mixture_transformed_moves_components():
     rng = np.random.default_rng(83)
-    mix = coherent.random_mixture(rng)
-    u = coherent.haar_unitary(rng)
+    mix = states.random_mixture(rng)
+    u = states.haar_unitary(rng)
     moved = mix.transformed(u)
     assert np.array_equal(moved.weights, mix.weights)
     for before, after in zip(mix.components, moved.components):
@@ -111,8 +112,8 @@ def test_mixture_transformed_moves_components():
 
 
 def test_haar_unitary_is_unitary_and_seeded():
-    u1 = coherent.haar_unitary(np.random.default_rng(5))
-    u2 = coherent.haar_unitary(np.random.default_rng(5))
+    u1 = states.haar_unitary(np.random.default_rng(5))
+    u2 = states.haar_unitary(np.random.default_rng(5))
     assert np.array_equal(u1, u2)
     assert np.max(np.abs(u1.conj().T @ u1 - np.eye(4))) < 1e-12
 
@@ -120,7 +121,7 @@ def test_haar_unitary_is_unitary_and_seeded():
 def test_random_mixture_shape_and_weights():
     rng = np.random.default_rng(7)
     for _ in range(10):
-        mix = coherent.random_mixture(rng, max_components=4, amplitude_scale=1.5)
+        mix = states.random_mixture(rng, max_components=4, amplitude_scale=1.5)
         assert 1 <= len(mix.components) <= 4
         assert abs(mix.weights.sum() - 1.0) < 1e-12
         assert np.all(mix.weights > 0)
@@ -150,7 +151,7 @@ def test_classical_suite_small_run():
 def reference_trial(seed, trial):
     """Trial ``trial`` of the suite, replayed from its recipe with pointwise rates."""
     rng = np.random.default_rng([seed, trial])
-    mixture = coherent.random_mixture(rng).transformed(coherent.haar_unitary(rng))
+    mixture = states.random_mixture(rng).transformed(states.haar_unitary(rng))
     angles = AngleSettings(*rng.uniform(0.0, np.pi, size=4))
     t1, t2, t1a, t2a = dataclasses.astuple(angles)
 
@@ -188,7 +189,7 @@ def test_stacked_suite_matches_the_per_trial_loop(seed, trials):
 
 def test_scan_tables_match_pointwise_rates():
     rng = np.random.default_rng(73)
-    mix = coherent.random_mixture(rng)
+    mix = states.random_mixture(rng)
     thetas = np.linspace(0.0, np.pi, 6, endpoint=False)
     p_tt, p_t_any, p_any_t, p_any_any = detection.state_tables(mix)[0](thetas, thetas)
     assert p_tt.shape == (6, 6)
@@ -209,13 +210,13 @@ def test_mixture_fock_report_agrees_with_closed_form():
     ]
     mix = coherent.ClassicalMixture(weights, comps)
     closed = coherent.mixture_ch(mix, ANGLES)
-    numeric = coherent.mixture_fock_report(mix, ANGLES, cutoff=14)
+    numeric = states.mixture_fock_report(mix, ANGLES, cutoff=14)
     assert abs(closed.f - numeric.f) < 1e-8
     assert abs(closed.p_any_any - numeric.p_any_any) < 1e-8
 
 
 def test_angle_scan_dispatches_classical_mixtures():
     rng = np.random.default_rng(111)
-    mix = coherent.random_mixture(rng, max_components=3, amplitude_scale=1.0)
+    mix = states.random_mixture(rng, max_components=3, amplitude_scale=1.0)
     result = detection.angle_scan(mix, grid_density=6)
     assert result.f <= 1e-12

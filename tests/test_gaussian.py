@@ -5,7 +5,6 @@ import pytest
 
 import states
 from bellsim import detection, fock, gaussian, linear_optics
-from bellsim.coherent import haar_unitary
 from bellsim.detection import AngleSettings
 from bellsim.gaussian import GaussianState, SqueezedThermalSpec
 
@@ -81,7 +80,7 @@ def test_embed_passive_is_orthogonal_symplectic():
     rng = np.random.default_rng(7)
     beta = gaussian.symplectic_form(4)
     for _ in range(5):
-        u = haar_unitary(rng)
+        u = states.haar_unitary(rng)
         m = gaussian.embed_passive(u)
         assert np.max(np.abs(m @ m.T - np.eye(8))) < 1e-12
         assert np.max(np.abs(m @ beta @ m.T - beta)) < 1e-12
@@ -155,7 +154,7 @@ def test_gaussian_rates_match_fock_replica():
     replica = gaussian.fock_equivalent_state(spec, 16)
     rng = np.random.default_rng(17)
     for t1, t2 in rng.uniform(0.0, np.pi, size=(4, 2)):
-        got = gaussian.coincidence_probability(state, t1, t2)
+        got = detection.coincidence_probability(state, t1, t2)
         want = detection.coincidence_probability(replica, t1, t2)
         assert abs(got - want) < 1e-6
 
@@ -176,10 +175,10 @@ def test_thermal_state_factorizes_across_beams():
     state = gaussian.build_squeezed_thermal(SqueezedThermalSpec(0.0, 0.0, 0.7))
     rng = np.random.default_rng(29)
     for t1, t2 in rng.uniform(0.0, np.pi, size=(6, 2)):
-        joint = gaussian.coincidence_probability(state, t1, t2)
-        left = gaussian.coincidence_probability(state, t1, None)
-        right = gaussian.coincidence_probability(state, None, t2)
-        both = gaussian.coincidence_probability(state, None, None)
+        joint = detection.coincidence_probability(state, t1, t2)
+        left = detection.coincidence_probability(state, t1, None)
+        right = detection.coincidence_probability(state, None, t2)
+        both = detection.coincidence_probability(state, None, None)
         assert abs(joint * both - left * right) < 1e-12
 
 
@@ -246,7 +245,7 @@ def test_passive_maps_preserve_uncertainty_and_spectrum():
         )
         state = gaussian.build_squeezed_thermal(spec)
         moved = gaussian.apply_symplectic(
-            state, gaussian.embed_passive(haar_unitary(rng))
+            state, gaussian.embed_passive(states.haar_unitary(rng))
         )
         v_mat = gaussian.variance_matrix(moved)
         herm = v_mat + 0.5j * beta

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import oracle
 import states
 from bellsim import fock, linear_optics
-from bellsim.coherent import haar_unitary
 from bellsim.detection import _polarizer_vectors
 
 
@@ -82,7 +81,7 @@ def random_state(rng, modes, cutoff):
 def test_decompose_recompose_round_trip():
     rng = np.random.default_rng(41)
     for n in (2, 3, 4):
-        u = haar_unitary(rng, n)
+        u = states.haar_unitary(rng, n)
         ops = linear_optics.decompose_passive(u)
         back = recompose(ops, n)
         assert np.max(np.abs(back - u)) < 1e-12
@@ -97,7 +96,7 @@ def test_apply_passive_matches_dense_two_modes():
     rng = np.random.default_rng(17)
     cutoff = 4
     state = random_state(rng, 2, cutoff)
-    u = haar_unitary(rng, 2)
+    u = states.haar_unitary(rng, 2)
     got = linear_optics.apply_passive(state, u)
     want = oracle.passive_op(u, cutoff) @ oracle.from_graded(state)
     assert np.max(np.abs(oracle.from_graded(got) - want)) < 1e-11
@@ -107,7 +106,7 @@ def test_apply_passive_matches_dense_four_modes():
     rng = np.random.default_rng(29)
     cutoff = 3
     state = random_state(rng, 4, cutoff)
-    u = haar_unitary(rng, 4)
+    u = states.haar_unitary(rng, 4)
     got = linear_optics.apply_passive(state, u)
     want = oracle.passive_op(u, cutoff) @ oracle.from_graded(state)
     assert np.max(np.abs(oracle.from_graded(got) - want)) < 1e-11
@@ -116,7 +115,7 @@ def test_apply_passive_matches_dense_four_modes():
 def test_apply_passive_single_photon_columns():
     # one photon in mode k must come out as sum_j U_jk adag_j |vac>
     rng = np.random.default_rng(3)
-    u = haar_unitary(rng, 4)
+    u = states.haar_unitary(rng, 4)
     for k in range(4):
         state = fock.number_state(tuple(1 if m == k else 0 for m in range(4)), 2)
         moved = linear_optics.apply_passive(state, u)
@@ -129,7 +128,7 @@ def test_apply_passive_single_photon_columns():
 def test_apply_passive_preserves_shells_and_norm():
     rng = np.random.default_rng(59)
     state = random_state(rng, 3, 5)
-    u = haar_unitary(rng, 3)
+    u = states.haar_unitary(rng, 3)
     out = linear_optics.apply_passive(state, u)
     assert abs(states.norm(out) - 1.0) < 1e-12
     for total in range(6):
@@ -143,7 +142,7 @@ def test_apply_passive_moves_coherent_amplitudes():
     # a passive map sends the coherent vector z to U z
     rng = np.random.default_rng(97)
     z = 0.4 * (rng.normal(size=4) + 1j * rng.normal(size=4))
-    u = haar_unitary(rng, 4)
+    u = states.haar_unitary(rng, 4)
     cutoff = fock.coherent_required_cutoff(1.5 * np.abs(z))
     moved = linear_optics.apply_passive(fock.synthesize_coherent(z, cutoff), u)
     direct = fock.synthesize_coherent(u @ z, cutoff)
@@ -234,7 +233,7 @@ def test_mixer_matches_dense_on_two_modes():
 
 def haar_pair(seed):
     rng = np.random.default_rng(seed)
-    return haar_unitary(rng, 2), haar_unitary(rng, 2)
+    return states.haar_unitary(rng, 2), states.haar_unitary(rng, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from scipy import optimize
 
 import states
-from bellsim import coherent, detection, fock, gaussian
+from bellsim import detection, fock, gaussian
 
 TWO_PHOTON_MAX_F = (math.sqrt(2.0) - 1.0) / 2.0
 RIDGE = (0.9188701607920218, 0.990744124281403, 0.883282765641269)
@@ -52,7 +52,7 @@ def gaussian_case(u, v, kappa):
 
 def mixture_case(seed):
     rng = np.random.default_rng(seed)
-    return coherent.random_mixture(rng).transformed(coherent.haar_unitary(rng))
+    return states.random_mixture(rng).transformed(states.haar_unitary(rng))
 
 
 # name -> (state builder, grid density)
