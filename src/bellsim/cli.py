@@ -23,7 +23,9 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _THREAD_VARS)
 
 import numpy as np
 
-from . import coherent, detection, fock, gaussian
+# gaussian and coherent are imported only by the commands and state kinds
+# that use them, so a Fock job loads neither
+from . import detection, fock
 from .policy import DEFAULT_POLICY, BellSimError, ConfigError, NumericalPolicy
 
 _PI_FRACTION = re.compile(
@@ -38,7 +40,7 @@ DEFAULT_SWEEP = {
     "u_start": 0.0,
     "u_stop": 1.2,
     "u_step": 0.02,
-    "scenarios": list(gaussian.SWEEP_SCENARIOS),
+    "scenarios": ["equal", "zero", "opposite"],
     "kappas": [1.0, 0.9, 0.8],
 }
 
@@ -175,6 +177,8 @@ def _read_policy(value, key):
 
 
 def _read_sweep(value, key):
+    from . import gaussian
+
     sweep = _as_mapping(value, "sweep")
     _check_keys(sweep, set(DEFAULT_SWEEP), "sweep")
     sweep = dict(DEFAULT_SWEEP, **sweep)
@@ -321,6 +325,8 @@ def _state_file(spec, engine, config):
 
 
 def _coherent(spec, engine, config):
+    from . import coherent
+
     # the vacuum is the coherent state with every amplitude zero
     z = _amplitude_list(spec.get("z", [0, 0, 0, 0]), "coherent z")
     amplitudes = coherent.CoherentAmplitudes(np.asarray(z))
@@ -330,6 +336,8 @@ def _coherent(spec, engine, config):
 
 
 def _mixture(spec, engine, config):
+    from . import coherent
+
     weights = [
         _as_float(w, "mixture weight") for w in _as_list(spec["weights"], "mixture weights")
     ]
@@ -346,6 +354,8 @@ def _mixture(spec, engine, config):
 
 
 def _squeezed_thermal(spec, engine, config):
+    from . import gaussian
+
     built = gaussian.SqueezedThermalSpec(
         u=_as_float(spec["u"], "u"),
         v=_as_float(spec["v"], "v"),
@@ -457,9 +467,14 @@ def cmd_run(config):
     if angles is None:
         rng = np.random.default_rng(config.seed)
         angles = detection.AngleSettings(*rng.uniform(0.0, math.pi, size=4))
-        print(f"no angles given; drew random settings with seed {config.seed}")
     reports = [detection.ch_functional(state, angles, config.policy) for state in states]
+    # the CSV goes out before anything is printed, so a run that cannot
+    # write it leaves stdout empty
+    if config.out:
+        _write_lines(config.out, _report_csv(reports[0]))
 
+    if config.angles is None:
+        print(f"no angles given; drew random settings with seed {config.seed}")
     if engine == "both":
         g_report, f_report = reports
         _print_report(g_report, label="gaussian engine:")
@@ -471,13 +486,13 @@ def cmd_run(config):
         print(f"largest cross-engine gap: {gap:.3e}")
     else:
         _print_report(reports[0])
-    if config.out:
-        _write_lines(config.out, _report_csv(reports[0]))
     return 2 if reports[0].verdict == detection.INCONCLUSIVE else 0
 
 
 def cmd_sweep(config):
     """Sweep the squeezed thermal family and emit the plot CSV."""
+    from . import gaussian
+
     if config.engine not in (None, "gaussian"):
         raise ConfigError("sweep uses the gaussian engine")
     sweep = config.sweep
@@ -486,7 +501,18 @@ def cmd_sweep(config):
         raise ConfigError("u_step must be positive")
     if stop < start:
         raise ConfigError("u_stop must not be below u_start")
-    count = int(round((stop - start) / step)) + 1
+    # counted before any list is built: the rows, and the u list, which is
+    # built even with no (scenario, kappa) pair; a span that overflows in
+    # steps counts as infinitely many
+    limit = config.policy.max_dimension
+    pairs = len(sweep["scenarios"]) * len(sweep["kappas"])
+    span = (stop - start) / step
+    count = round(span) + 1 if math.isfinite(span) else math.inf
+    if count * max(pairs, 1) > limit:
+        raise ConfigError(
+            f"sweep of {count} u values x {pairs} (scenario, kappa) pairs exceeds "
+            f"the configured maximum of {limit} points (policy max_dimension)"
+        )
     u_values = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
 
     rows = gaussian.sweep_rows(
@@ -533,6 +559,8 @@ def run_validation(
     The tolerance arguments exist so tests can prove the checks are live:
     an impossible tolerance must make the suite fail.
     """
+    from . import coherent, gaussian
+
     lines = []
     ok = True
 

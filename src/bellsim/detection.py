@@ -25,6 +25,7 @@ Beam one holds modes (0, 1), beam two modes (2, 3). A polarizer angle of
 from __future__ import annotations
 
 import math
+import sys
 import typing
 from dataclasses import dataclass
 from functools import partial
@@ -258,15 +259,17 @@ def state_tables(state):
     """
     if isinstance(state, (OccupationState, MixedState, DensityOperator, BeamBlockState)):
         return partial(_block_rate_tables, *_beam_blocks(state)), state.truncation_tail
-    from . import coherent, gaussian
-
-    if isinstance(state, gaussian.GaussianState):
+    # a state of an engine's type exists only once that engine's module is
+    # loaded, so telling the types apart loads no other engine
+    gaussian = sys.modules.get(f"{__package__}.gaussian")
+    if gaussian and isinstance(state, gaussian.GaussianState):
         if state.mode_count != 4:
             raise ValueError("coincidence rates are defined on four-mode states")
         return partial(gaussian.rate_tables, gaussian.variance_matrix(state)), 0.0
-    if isinstance(state, coherent.CoherentAmplitudes):  # a one-component mixture
+    coherent = sys.modules.get(f"{__package__}.coherent")
+    if coherent and isinstance(state, coherent.CoherentAmplitudes):  # a one-component mixture
         return partial(coherent.rate_tables, np.ones(1), state.z[None]), 0.0
-    if isinstance(state, coherent.ClassicalMixture):
+    if coherent and isinstance(state, coherent.ClassicalMixture):
         return partial(coherent.rate_tables, state.weights, state.components), 0.0
     raise TypeError(f"no rate tables for {type(state).__name__}")
 
@@ -452,22 +455,37 @@ REFINE_MIN_STEP = 1e-8
 REFINE_MAX_STEPS = 200
 
 
+def _sorted_unique(values):
+    """The distinct values, sorted: ``np.unique`` on a float array.
+
+    The same quicksort and neighbour comparison as ``np.unique``'s sorting
+    path, without the ``numpy.ma`` import that ``np.unique`` brings along.
+    """
+    values = np.sort(values, axis=None)
+    keep = np.empty(values.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _compass_step(tables, centre, step):
     """Best of the 3^4 settings centre + {-h, 0, h}^4 from one table evaluation.
 
-    The tables are evaluated once on the union of the four angles'
-    neighbourhoods, at most 12 angles. Only settings that keep each angle
-    in its own neighbourhood are compared: the other combinations of the
-    12 angles jump to distant settings, which turns the polish into a
-    random restart and loses the grid maximum's basin. As in
+    The tables are evaluated once, on the neighbourhoods of each beam's own
+    two angles: at most 6 angles for beam one (theta1, theta1') and 6 for
+    beam two (theta2, theta2'). Only settings that keep each angle in its
+    own neighbourhood are compared: the other combinations of a beam's
+    angles jump to distant settings, which turns the polish into a random
+    restart and loses the grid maximum's basin. As in
     :func:`scan_angle_tables`, the best setting is the first in C order
     whose f lies within SCAN_TIE_TOL of the maximum, so settings tied up
     to rounding do not make the path follow the last bits of the rates.
     """
     points = np.add.outer(centre, (-step, 0.0, step))  # [angle, offset]
-    thetas = np.unique(points)
-    a, t, s, _ = tables(thetas)
-    i, j, k, l = (np.searchsorted(thetas, p) for p in points)
+    thetas1, thetas2 = _sorted_unique(points[0::2]), _sorted_unique(points[1::2])
+    a, t, s, _ = tables(thetas1, thetas2)
+    i, k = np.searchsorted(thetas1, points[0::2])
+    j, l = np.searchsorted(thetas2, points[1::2])
     # f = [A_ij - A_il] + [A_kj + A_kl - t_k] - s_j over the (i, j, k, l) stencil
     f = (
         (a[np.ix_(i, j)][:, :, None, None] - a[np.ix_(i, l)][:, None, None, :])
@@ -482,9 +500,9 @@ def _compass_step(tables, centre, step):
 def _refine(tables, start, grid_f, step):
     """Polish a grid maximum by a shrinking compass scan on the rate tables.
 
-    ``tables(thetas)`` returns an engine's four rate tables on the grid
-    thetas x thetas. Each step takes the best of the 3^4 settings around a
-    centre point, each angle moved by -h, 0 or +h (see
+    ``tables(thetas1, thetas2)`` returns an engine's four rate tables, as
+    from :func:`state_tables`. Each step takes the best of the 3^4 settings
+    around a centre point, each angle moved by -h, 0 or +h (see
     :func:`_compass_step`). The best point moves there when it beats the
     current f by more than SCAN_TIE_TOL. The next centre is then one more
     such displacement ahead (a Hooke-Jeeves pattern move), so the scan
@@ -535,9 +553,8 @@ def angle_scan(state, grid_density=16, refine=False):
         raise ValueError("grid density must be at least 2")
     thetas = np.arange(grid_density) * math.pi / grid_density
 
-    grid_tables, _ = state_tables(state)
-    tables = lambda t: grid_tables(t, t)
-    best, grid_f = scan_angle_tables(*tables(thetas), thetas)
+    tables, _ = state_tables(state)
+    best, grid_f = scan_angle_tables(*tables(thetas, thetas), thetas)
     angles, best_f = (best, grid_f)
     if refine:
         angles, best_f = _refine(tables, best, grid_f, math.pi / grid_density)

@@ -320,9 +320,6 @@ def fock_equivalent_state(spec, cutoff, policy=DEFAULT_POLICY):
     return OccupationState(basis, amplitudes, replica.truncation_tail)
 
 
-SWEEP_SCENARIOS = ("equal", "zero", "opposite")
-
-
 def scenario_v(scenario, u):
     if scenario == "equal":
         return u

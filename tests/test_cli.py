@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,18 @@ def test_run_writes_a_report_row(tmp_path, capsys):
     assert len(rows) == 1
     assert abs(float(rows[0]["f"]) - 0.20710678118654746) < 1e-12
     assert rows[0]["verdict"] == "violated"
+
+
+@pytest.mark.parametrize("angles", [["--angles", "0,1,2,3"], []])
+def test_a_run_that_cannot_write_its_out_prints_nothing(angles, tmp_path, capsys):
+    out_file = tmp_path / "missing_dir" / "x.csv"
+    code, out, err = run_cli(
+        ["run", "--state", "two_photon", *angles, "--out", str(out_file)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not out_file.parent.exists()
 
 
 def test_engine_constraints(tmp_path, capsys):
@@ -389,6 +402,36 @@ def test_sweep_at_zero_squeezing_is_null(tmp_path, capsys):
     assert len(rows) == 1
     assert float(rows[0]["f"]) == 0.0
     assert rows[0]["violated"] == "0"
+
+
+@pytest.mark.parametrize("step, named", [
+    # 1.2e9 u values: as a list of floats alone, tens of gigabytes
+    ("1e-9", "sweep of 1200000001 u values x 9 (scenario, kappa) pairs"),
+    # a step too small to count the span in
+    ("1e-320", "sweep of inf u values x 9 (scenario, kappa) pairs"),
+])
+def test_a_sweep_past_the_point_limit_is_one_error_line(step, named, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    tracemalloc.start()
+    try:
+        code, printed, err = run_cli(["sweep", "--u-step", step, "--out", str(out)], capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and printed == ""
+    assert err.startswith(f"error: {named} exceeds the configured maximum of 2000000 points")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("limit, code", [(72, 0), (71, 1)])
+def test_the_sweep_point_limit_is_the_policy_max_dimension(limit, code, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"policy": {"max_dimension": limit}}))
+    # 8 u values x 3 scenarios x 3 kappas = 72 points
+    argv = ["sweep", "--config", str(cfg), "--u-stop", "0.7", "--u-step", "0.1"]
+    assert run_cli(argv, capsys)[0] == code
 
 
 def test_scan_finds_the_two_photon_optimum(capsys):
@@ -794,6 +837,41 @@ def probe_without_thread_vars(code, **extra):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout.strip().splitlines()[-1]
+
+
+FILE_STATE = {"cutoff": 2, "amplitudes": [
+    {"occupation": [1, 0, 0, 1], "re": 1.0}, {"occupation": [0, 1, 1, 0], "re": 1.0},
+]}
+WATCHED = ("bellsim.coherent", "bellsim.gaussian", "numpy.ma")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["scan", "--state", "two_photon", "--grid", "8", "--refine"], []),
+    (["run", "--state", "{file}", "--angles", "0,1,2,3"], []),
+    (["scan", "--state", "{file}", "--grid", "5", "--refine"], []),
+    (["run", "--state", json.dumps({"kind": "coherent", "z": [0.5, 0.1, 0, 0.3]}),
+      "--angles", "0,1,2,3"], ["bellsim.coherent"]),
+    (["scan", "--state", json.dumps({"kind": "squeezed_thermal", "u": 0.4, "v": 0.35,
+                                     "kappa": 0.9}),
+      "--grid", "8", "--refine"], ["bellsim.gaussian"]),
+], ids=["two_photon_scan", "file_run", "file_scan", "coherent_run", "squeezed_scan"])
+def test_a_command_loads_only_the_engines_its_state_needs(argv, loaded, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(FILE_STATE))
+    spec = json.dumps({"kind": "file", "path": str(path)})
+    argv = [spec if arg == "{file}" else arg for arg in argv]
+    probe = (
+        "import json, sys\n"
+        "from bellsim import cli\n"
+        "code = cli.main(json.loads(sys.argv[1]))\n"
+        "watched = json.loads(sys.argv[2])\n"
+        "print(json.dumps([code, [name for name in watched if name in sys.modules]]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(argv), json.dumps(WATCHED)],
+        env=source_env(), capture_output=True, text=True, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == [0, loaded]
 
 
 def test_importing_the_package_does_not_load_numpy():

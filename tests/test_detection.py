@@ -219,6 +219,22 @@ def test_angle_scan_guards():
         detection.angle_scan(3.14)
 
 
+# a few distinct values, drawn again and again, with both signed zeros
+_REPEATED_FLOATS = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4
+).flatmap(lambda pool: st.lists(st.sampled_from(pool + [0.0, -0.0]), max_size=18))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPEATED_FLOATS)
+def test_sorted_unique_is_np_unique_bit_for_bit(values):
+    values = np.array(values, dtype=np.float64)
+    for shaped in (values, values[: values.size // 3 * 3].reshape(-1, 3)):
+        got, want = detection._sorted_unique(shaped), np.unique(shaped)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_scan_handles_density_operators():
     rho = fock.two_photon_state().to_density_operator()
     result = detection.angle_scan(rho, grid_density=8)

@@ -301,11 +301,14 @@ def test_gaussian_tables_reject_an_unphysical_variance():
         gaussian.rate_tables(np.diag([-2.0] + [0.5] * 7), [0.0], [0.0])
 
 
+SCENARIOS = ("equal", "zero", "opposite")
+
+
 def test_batched_sweep_matches_the_per_point_formula():
     angles = AngleSettings(0.3, 1.1, 2.0, 2.9)
     u_values = [0.0, 0.35, 0.9]
-    rows = gaussian.sweep_rows(u_values, gaussian.SWEEP_SCENARIOS, (1.0, 0.7), angles)
-    points = itertools.product((1.0, 0.7), gaussian.SWEEP_SCENARIOS, u_values)
+    rows = gaussian.sweep_rows(u_values, SCENARIOS, (1.0, 0.7), angles)
+    points = itertools.product((1.0, 0.7), SCENARIOS, u_values)
     assert len(rows) == 18
     for row, (kappa, scenario, u) in zip(rows, points):
         v_param = gaussian.scenario_v(scenario, u)

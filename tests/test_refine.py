@@ -130,15 +130,16 @@ def test_polish_keeps_the_grid_point_when_nothing_beats_it():
     start = (0.0, 0.0, 0.0, 0.0)
     calls = []
 
-    def tables(thetas):
-        calls.append(len(thetas))
-        n = len(thetas)
-        return np.zeros((n, n)), np.zeros(n), np.zeros(n), 0.0
+    def tables(thetas1, thetas2):
+        n1, n2 = len(thetas1), len(thetas2)
+        calls.append((n1, n2))
+        return np.zeros((n1, n2)), np.zeros(n1), np.zeros(n2), 0.0
 
     angles, f = detection._refine(tables, start, 0.0, math.pi / 4)
     assert angles == start and f == 0.0
     assert 0 < len(calls) <= detection.REFINE_MAX_STEPS
-    assert max(calls) <= 12
+    # each beam's tables cover only its own two angles' neighbourhoods
+    assert max(max(call) for call in calls) <= 6
 
 
 @pytest.mark.parametrize("cutoff", [12, 16, 20])
@@ -151,15 +152,15 @@ def test_polish_ignores_the_last_bits_of_the_rates(cutoff):
     thetas = np.arange(8) * math.pi / 8
 
     def polish(tables):
-        best, grid_f = detection.scan_angle_tables(*tables(thetas), thetas)
+        best, grid_f = detection.scan_angle_tables(*tables(thetas, thetas), thetas)
         return detection._refine(tables, best, grid_f, math.pi / 8)
 
-    plain_angles, plain_f = polish(lambda t: grid_tables(t, t))
+    plain_angles, plain_f = polish(grid_tables)
     for seed in range(6):
         rng = np.random.default_rng(seed)
 
-        def noisy(t):
-            p_tt, *rest = grid_tables(t, t)
+        def noisy(thetas1, thetas2):
+            p_tt, *rest = grid_tables(thetas1, thetas2)
             return (p_tt * (1.0 + 2e-16 * rng.normal(size=p_tt.shape)), *rest)
 
         angles, f = polish(noisy)
