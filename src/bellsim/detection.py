@@ -347,10 +347,11 @@ def ch_verdicts(tables, tail_err=0.0, policy=DEFAULT_POLICY):
     lower_margin = f + rates["p_any_any"]
     upper_margin = 0.0 - f  # a zero f gives +0.0, never -0.0
     # A violation is only claimed when a bound is broken by more than the
-    # numerical error bar; a bound broken within the error bar is
-    # inconclusive, and saturated bounds count as holding.
+    # numerical error bar. Truncation can raise a margin by up to the tail,
+    # so a bound holds only by at least the tail (saturated bounds of an
+    # untruncated state count as holding); anything between is inconclusive.
     violated = (upper_margin < -tol) | (lower_margin < -tol)
-    broken = (upper_margin < 0.0) | (lower_margin < 0.0)
+    broken = (upper_margin < tail_err) | (lower_margin < tail_err)
     verdict = _VERDICTS[np.where(violated, 2, broken.astype(np.intp))]
     return CHStack(rates, f, lower_margin, upper_margin, verdict)
 
@@ -455,44 +456,24 @@ REFINE_MIN_STEP = 1e-8
 REFINE_MAX_STEPS = 200
 
 
-def _sorted_unique(values):
-    """The distinct values, sorted: ``np.unique`` on a float array.
-
-    The same quicksort and neighbour comparison as ``np.unique``'s sorting
-    path, without the ``numpy.ma`` import that ``np.unique`` brings along.
-    """
-    values = np.sort(values, axis=None)
-    keep = np.empty(values.shape, dtype=bool)
-    keep[:1] = True
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
-
-
 def _compass_step(tables, centre, step):
     """Best of the 3^4 settings centre + {-h, 0, h}^4 from one table evaluation.
 
-    The tables are evaluated once, on the neighbourhoods of each beam's own
-    two angles: at most 6 angles for beam one (theta1, theta1') and 6 for
-    beam two (theta2, theta2'). Only settings that keep each angle in its
-    own neighbourhood are compared: the other combinations of a beam's
-    angles jump to distant settings, which turns the polish into a random
-    restart and loses the grid maximum's basin. As in
-    :func:`scan_angle_tables`, the best setting is the first in C order
+    The tables are evaluated once, on each beam's six stencil angles: for
+    beam one theta1 - h, theta1, theta1 + h (indices 0-2) and the same for
+    theta1' (indices 3-5), and likewise for beam two. Only settings that
+    keep each angle in its own neighbourhood are compared: the other
+    combinations of a beam's angles jump to distant settings, which turns
+    the polish into a random restart and loses the grid maximum's basin. As
+    in :func:`scan_angle_tables`, the best setting is the first in C order
     whose f lies within SCAN_TIE_TOL of the maximum, so settings tied up
     to rounding do not make the path follow the last bits of the rates.
     """
     points = np.add.outer(centre, (-step, 0.0, step))  # [angle, offset]
-    thetas1, thetas2 = _sorted_unique(points[0::2]), _sorted_unique(points[1::2])
-    a, t, s, _ = tables(thetas1, thetas2)
-    i, k = np.searchsorted(thetas1, points[0::2])
-    j, l = np.searchsorted(thetas2, points[1::2])
+    a, t, s, _ = tables(points[0::2].ravel(), points[1::2].ravel())
+    i, j, k, l = np.ix_(range(3), range(3), range(3, 6), range(3, 6))
     # f = [A_ij - A_il] + [A_kj + A_kl - t_k] - s_j over the (i, j, k, l) stencil
-    f = (
-        (a[np.ix_(i, j)][:, :, None, None] - a[np.ix_(i, l)][:, None, None, :])
-        + ((a[np.ix_(k, j)].T[None, :, :, None] + a[np.ix_(k, l)][None, None, :, :])
-           - t[k][None, None, :, None])
-        - s[j][None, :, None, None]
-    )
+    f = (a[i, j] - a[i, l]) + ((a[k, j] + a[k, l]) - t[k]) - s[j]
     best = np.unravel_index(int(np.argmax(f >= np.max(f) - SCAN_TIE_TOL)), f.shape)
     return points[np.arange(4), best], float(f[best])
 

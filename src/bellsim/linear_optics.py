@@ -9,7 +9,6 @@ Givens-style triangular decomposition. Modes are indexed from 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -18,22 +17,6 @@ from .fock import DensityOperator, OccupationState, enumerate_basis
 
 # largest residual a unitarity (U^dag U = I) or symplectic check accepts
 UNITARITY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MixerOp:
-    """Two-mode mixer: an SU(2) matrix acting on a mode pair."""
-
-    modes: tuple
-    matrix: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class PhaseOp:
-    """Single-mode phase shift z_m -> exp(i phase) z_m."""
-
-    mode: int
-    phase: float
 
 
 def check_unitary(matrix):
@@ -48,10 +31,12 @@ def check_unitary(matrix):
 
 
 def decompose_passive(matrix):
-    """Factor a unitary into mixers and phases, in application order.
+    """Factor a unitary into phases and two-mode mixers.
 
-    Returns ops whose product, applied in order, reproduces the input. The
-    identity decomposes to an empty list.
+    Returns (phases, mixers): the unitary is the phase shift
+    z_m -> exp(i phases[m]) z_m followed by the mixers, a list of
+    ((i, j), u) pairs applying the 2x2 unitary u to modes i and j, in
+    order. A diagonal unitary gives no mixers.
     """
     work = check_unitary(matrix).copy()
     n = work.shape[0]
@@ -66,14 +51,9 @@ def decompose_passive(matrix):
             g = np.array([[a.conj(), b.conj()], [-b, a]], dtype=np.complex128) / rho
             work[[c, r], :] = g @ work[[c, r], :]
             rotations.append((c, r, g))
-    ops = []
-    for j in range(n):
-        lam = float(np.angle(work[j, j]))
-        if abs(lam) > 1e-14:
-            ops.append(PhaseOp(mode=j, phase=lam))
-    for c, r, g in reversed(rotations):
-        ops.append(MixerOp(modes=(c, r), matrix=g.conj().T))
-    return ops
+    phases = np.angle(np.diagonal(work))
+    mixers = [((c, r), g.conj().T) for c, r, g in reversed(rotations)]
+    return phases, mixers
 
 
 def polarizer_rotation(theta, modes=(0, 1), mode_count=None):
@@ -199,31 +179,18 @@ def su2_shells(u, top, columns=None):
     return shells if u.ndim == 3 else shells[:, 0]
 
 
-def _apply_mixer(amplitudes, basis, op):
-    i, j = op.modes
-    layout = _pair_layout(basis.mode_count, basis.cutoff, i, j)
-    shells = su2_shells(op.matrix, basis.cutoff)
-    out = np.empty_like(amplitudes)
-    for total, block_idx in enumerate(layout):
-        block = shells[total, : total + 1, : total + 1]
-        out[block_idx] = np.einsum("nm,gm...->gn...", block, amplitudes[block_idx])
+def _apply_decomposed(amplitudes, basis, phases, mixers):
+    factor = np.exp(1j * (basis.occupations @ phases))
+    out = amplitudes * (factor[:, None] if amplitudes.ndim == 2 else factor)
+    for (i, j), u in mixers:
+        layout = _pair_layout(basis.mode_count, basis.cutoff, i, j)
+        shells = su2_shells(u, basis.cutoff)
+        mixed = np.empty_like(out)
+        for total, block_idx in enumerate(layout):
+            block = shells[total, : total + 1, : total + 1]
+            mixed[block_idx] = np.einsum("nm,gm...->gn...", block, out[block_idx])
+        out = mixed
     return out
-
-
-def _apply_phase(amplitudes, basis, op):
-    factor = np.exp(1j * op.phase * basis.occupations[:, op.mode])
-    if amplitudes.ndim == 2:
-        factor = factor[:, None]
-    return amplitudes * factor
-
-
-def _apply_ops(amplitudes, basis, ops):
-    for op in ops:
-        if isinstance(op, PhaseOp):
-            amplitudes = _apply_phase(amplitudes, basis, op)
-        else:
-            amplitudes = _apply_mixer(amplitudes, basis, op)
-    return amplitudes
 
 
 def apply_passive(state, matrix):
@@ -240,10 +207,10 @@ def apply_passive(state, matrix):
         )
     ops = decompose_passive(matrix)
     if isinstance(state, OccupationState):
-        amp = _apply_ops(state.amplitudes, state.basis, ops)
+        amp = _apply_decomposed(state.amplitudes, state.basis, *ops)
         return OccupationState(state.basis, amp, state.truncation_tail)
-    half = _apply_ops(state.matrix, state.basis, ops)
-    full = _apply_ops(half.conj().T, state.basis, ops).conj().T
+    half = _apply_decomposed(state.matrix, state.basis, *ops)
+    full = _apply_decomposed(half.conj().T, state.basis, *ops).conj().T
     # rounding can leave a ~1e-16 hermiticity residual; symmetrize it away
     full = 0.5 * (full + full.conj().T)
     return DensityOperator(state.basis, full, state.truncation_tail)

@@ -219,22 +219,6 @@ def test_angle_scan_guards():
         detection.angle_scan(3.14)
 
 
-# a few distinct values, drawn again and again, with both signed zeros
-_REPEATED_FLOATS = st.lists(
-    st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4
-).flatmap(lambda pool: st.lists(st.sampled_from(pool + [0.0, -0.0]), max_size=18))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_REPEATED_FLOATS)
-def test_sorted_unique_is_np_unique_bit_for_bit(values):
-    values = np.array(values, dtype=np.float64)
-    for shaped in (values, values[: values.size // 3 * 3].reshape(-1, 3)):
-        got, want = detection._sorted_unique(shaped), np.unique(shaped)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
 def test_scan_handles_density_operators():
     rho = fock.two_photon_state().to_density_operator()
     result = detection.angle_scan(rho, grid_density=8)
@@ -275,7 +259,7 @@ def scalar_verdict(rates, tail_err, verdict_tol=1e-9):
     lower, upper = f + any_any, 0.0 - f
     if upper < -tol or lower < -tol:
         return f, lower, upper, VIOLATED
-    if upper < 0.0 or lower < 0.0:
+    if upper < tail_err or lower < tail_err:  # a bound holds only by at least the tail
         return f, lower, upper, INCONCLUSIVE
     return f, lower, upper, NOT_VIOLATED
 
@@ -349,16 +333,24 @@ def test_stacked_verdict_is_the_report_row_by_row(tables, tail_err):
 
 
 def test_stacked_verdicts_cover_every_outcome():
-    # rows built to violate, stay inconclusive and hold, at tail 1e-3
+    # rows built to violate, break a bound within the error bar, hold by less
+    # than the tail, and hold by at least the tail, at tail 1e-3
     tables = (
-        np.array([[[0.5, 0.0], [0.5, 0.5]], [[0.5, 0.0], [0.0, 0.5]], [[0.0] * 2] * 2]),
-        np.array([[0.0, 0.0], [0.0, 0.9995], [0.0, 0.0]]),
-        np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        np.array([1.0, 1.0, 0.0]),
+        np.array([[[0.5, 0.0], [0.5, 0.5]], [[0.5, 0.0], [0.0, 0.5]], [[0.0] * 2] * 2, [[0.0] * 2] * 2]),
+        np.array([[0.0, 0.0], [0.0, 0.9995], [0.0, 0.0], [0.0, 0.0]]),
+        np.array([[0.0, 0.0], [0.0, 0.0], [0.0005, 0.0], [0.25, 0.0]]),
+        np.array([1.0, 1.0, 0.5, 0.5]),
     )
     stack = detection.ch_verdicts(tables, 1e-3)
-    assert stack.verdict.tolist() == [VIOLATED, INCONCLUSIVE, NOT_VIOLATED]
-    assert stack.f[2] == 0.0 and math.copysign(1.0, stack.upper_margin[2]) == 1.0
+    assert stack.verdict.tolist() == [VIOLATED, INCONCLUSIVE, INCONCLUSIVE, NOT_VIOLATED]
+    assert 0.0 <= stack.upper_margin[2] < 1e-3 <= stack.lower_margin[2]
+    assert min(stack.upper_margin[3], stack.lower_margin[3]) >= 1e-3
+    # without a tail a saturated bound (f = 0) holds
+    zero = tuple(np.zeros_like(table[:1]) for table in tables)
+    for tail_err, verdict in ((0.0, NOT_VIOLATED), (1e-3, INCONCLUSIVE)):
+        stack = detection.ch_verdicts(zero, tail_err)
+        assert stack.verdict.tolist() == [verdict]
+        assert stack.f[0] == 0.0 and math.copysign(1.0, stack.upper_margin[0]) == 1.0
 
 
 def test_the_first_failing_row_names_the_error():

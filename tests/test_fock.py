@@ -9,11 +9,8 @@ from scipy.stats import poisson
 
 import oracle
 import states
-from bellsim import (
-    DimensionLimitError,
-    TruncationTailError,
-    fock,
-)
+from bellsim import fock
+from bellsim.policy import DimensionLimitError, TruncationTailError
 
 
 def test_basis_size_four_modes_cutoff_sixteen():

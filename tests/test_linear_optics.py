@@ -13,17 +13,12 @@ from bellsim import fock, linear_optics
 from bellsim.detection import _polarizer_vectors
 
 
-def recompose(ops, mode_count):
-    """Multiply elementary ops (in application order) back into a matrix."""
-    out = np.eye(mode_count, dtype=np.complex128)
-    for op in ops:
-        if isinstance(op, linear_optics.PhaseOp):
-            embedded = np.eye(mode_count, dtype=np.complex128)
-            embedded[op.mode, op.mode] = np.exp(1j * op.phase)
-        else:
-            i, j = op.modes
-            embedded = np.eye(mode_count, dtype=np.complex128)
-            embedded[np.ix_([i, j], [i, j])] = op.matrix
+def recompose(phases, mixers):
+    """Multiply a decomposition (phases first, then mixers) back into a matrix."""
+    out = np.diag(np.exp(1j * phases))
+    for (i, j), u in mixers:
+        embedded = np.eye(len(phases), dtype=np.complex128)
+        embedded[np.ix_([i, j], [i, j])] = u
         out = embedded @ out
     return out
 
@@ -82,8 +77,7 @@ def test_decompose_recompose_round_trip():
     rng = np.random.default_rng(41)
     for n in (2, 3, 4):
         u = states.haar_unitary(rng, n)
-        ops = linear_optics.decompose_passive(u)
-        back = recompose(ops, n)
+        back = recompose(*linear_optics.decompose_passive(u))
         assert np.max(np.abs(back - u)) < 1e-12
 
 
@@ -151,8 +145,9 @@ def test_apply_passive_moves_coherent_amplitudes():
 
 def test_diagonal_unitary_becomes_phases():
     diag = np.diag(np.exp(1j * np.array([0.3, -1.1])))
-    ops = linear_optics.decompose_passive(diag)
-    assert all(isinstance(op, linear_optics.PhaseOp) for op in ops)
+    phases, mixers = linear_optics.decompose_passive(diag)
+    assert mixers == []
+    assert np.max(np.abs(phases - [0.3, -1.1])) < 1e-15
     state = fock.number_state((2, 1), 3)
     out = linear_optics.apply_passive(state, diag)
     idx = state.basis.index_of((2, 1))

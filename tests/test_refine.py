@@ -138,8 +138,8 @@ def test_polish_keeps_the_grid_point_when_nothing_beats_it():
     angles, f = detection._refine(tables, start, 0.0, math.pi / 4)
     assert angles == start and f == 0.0
     assert 0 < len(calls) <= detection.REFINE_MAX_STEPS
-    # each beam's tables cover only its own two angles' neighbourhoods
-    assert max(max(call) for call in calls) <= 6
+    # each beam's tables cover only its own two angles' three-point stencils
+    assert set(calls) == {(6, 6)}
 
 
 @pytest.mark.parametrize("cutoff", [12, 16, 20])

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 import states
-from bellsim import DEFAULT_POLICY, DimensionLimitError, NumericalPolicy, detection, fock, gaussian
+from bellsim import detection, fock, gaussian
 from bellsim.gaussian import SqueezedThermalSpec, _squeeze_q_exponents
 from bellsim.linear_optics import apply_passive, beam_wiring, entangling_unitary
+from bellsim.policy import DEFAULT_POLICY, DimensionLimitError, NumericalPolicy
 
 
 def apply_single_mode_squeeze(state, mode, u, policy=DEFAULT_POLICY):
@@ -196,6 +197,31 @@ def test_beam_blocks_give_the_dense_replica_tables(u, v, cutoff, thetas1, thetas
         assert np.max(np.abs(np.asarray(g) - np.asarray(w))) <= 1e-15
     assert abs(replica.truncation_tail - dense_tail(dense)) <= 1e-15
     assert detection.state_tables(replica)[1] == replica.truncation_tail
+
+
+ANGLE = st.floats(0.0, math.pi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    u=SQUEEZE,
+    v=SQUEEZE,
+    cutoff=st.integers(min_value=2, max_value=20),
+    angles=st.tuples(ANGLE, ANGLE, ANGLE, ANGLE),
+)
+@example(  # the replica's lower margin 4.1e-4 sits below its tail 5.8e-4
+    u=-0.08505226340053484,
+    v=-0.5148919488290826,
+    cutoff=9,
+    angles=(0.9350904340267354, 2.3687507741090967, 0.5301581250006618, 2.9098897262839887),
+)
+def test_the_replica_never_contradicts_the_covariance_engine(u, v, cutoff, angles):
+    # truncation moves each margin by up to the tail, so the replica may be
+    # inconclusive where the exact engine decides, but never the opposite
+    spec = SqueezedThermalSpec(u, v, 1.0)
+    exact = detection.ch_functional(gaussian.build_squeezed_thermal(spec), angles).verdict
+    replica = detection.ch_functional(gaussian.fock_replica(spec, cutoff), angles).verdict
+    assert {exact, replica} != {detection.VIOLATED, detection.NOT_VIOLATED}
 
 
 def test_the_beam_block_state_checks_its_blocks():
