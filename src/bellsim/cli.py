@@ -324,28 +324,22 @@ def _state_file(spec, engine, config):
     return fock.OccupationState(basis, vector / np.linalg.norm(vector), 0.0)
 
 
-def _coherent(spec, engine, config):
+def _classical(spec, engine, config):
+    """Build a vacuum, coherent or mixture state as a coherent.ClassicalMixture."""
     from . import coherent
 
-    # the vacuum is the coherent state with every amplitude zero
-    z = _amplitude_list(spec.get("z", [0, 0, 0, 0]), "coherent z")
-    amplitudes = coherent.CoherentAmplitudes(np.asarray(z))
-    if engine == "fock":
-        return fock.synthesize_coherent(amplitudes.z, config.cutoff, config.policy)
-    return amplitudes
-
-
-def _mixture(spec, engine, config):
-    from . import coherent
-
-    weights = [
-        _as_float(w, "mixture weight") for w in _as_list(spec["weights"], "mixture weights")
-    ]
-    components = [
-        _amplitude_list(row, "mixture component")
-        for row in _as_list(spec["components"], "mixture components")
-    ]
-    mixture = coherent.ClassicalMixture(np.asarray(weights), np.asarray(components))
+    if spec["kind"] == "mixture":
+        weights = [
+            _as_float(w, "mixture weight") for w in _as_list(spec["weights"], "mixture weights")
+        ]
+        components = [
+            _amplitude_list(row, "mixture component")
+            for row in _as_list(spec["components"], "mixture components")
+        ]
+        mixture = coherent.ClassicalMixture(np.asarray(weights), np.asarray(components))
+    else:  # the vacuum is the coherent state with every amplitude zero
+        z = _amplitude_list(spec.get("z", [0, 0, 0, 0]), "coherent z")
+        mixture = coherent.CoherentAmplitudes(np.asarray(z))
     if engine == "fock":
         return fock.synthesize_coherent_mixture(
             mixture.weights, mixture.components, config.cutoff, config.policy
@@ -380,9 +374,9 @@ _KINDS = {
     # cutoff is exact regardless of config.cutoff
     "two_photon": _Kind((), (), ("fock",), lambda *_: fock.two_photon_state()),
     "file": _Kind(("path",), (), ("fock",), _state_file),
-    "vacuum": _Kind((), (), ("analytic", "fock"), _coherent),
-    "coherent": _Kind(("z",), (), ("analytic", "fock"), _coherent),
-    "mixture": _Kind(("weights", "components"), (), ("analytic", "fock"), _mixture),
+    "vacuum": _Kind((), (), ("analytic", "fock"), _classical),
+    "coherent": _Kind(("z",), (), ("analytic", "fock"), _classical),
+    "mixture": _Kind(("weights", "components"), (), ("analytic", "fock"), _classical),
     "squeezed_thermal": _Kind(
         ("u", "v"), ("kappa",), ("gaussian", "fock", "both"), _squeezed_thermal
     ),

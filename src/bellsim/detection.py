@@ -267,8 +267,6 @@ def state_tables(state):
             raise ValueError("coincidence rates are defined on four-mode states")
         return partial(gaussian.rate_tables, gaussian.variance_matrix(state)), 0.0
     coherent = sys.modules.get(f"{__package__}.coherent")
-    if coherent and isinstance(state, coherent.CoherentAmplitudes):  # a one-component mixture
-        return partial(coherent.rate_tables, np.ones(1), state.z[None]), 0.0
     if coherent and isinstance(state, coherent.ClassicalMixture):
         return partial(coherent.rate_tables, state.weights, state.components), 0.0
     raise TypeError(f"no rate tables for {type(state).__name__}")

@@ -200,17 +200,14 @@ def apply_passive(state, matrix):
     total-photon shell and the truncation tail is unchanged. Coherent
     states map as z -> matrix z.
     """
-    matrix = check_unitary(matrix)
-    if matrix.shape[0] != state.mode_count:
-        raise ValueError(
-            f"matrix acts on {matrix.shape[0]} modes, state has {state.mode_count}"
-        )
-    ops = decompose_passive(matrix)
+    phases, mixers = decompose_passive(matrix)  # checks that the matrix is unitary
+    if phases.size != state.mode_count:
+        raise ValueError(f"matrix acts on {phases.size} modes, state has {state.mode_count}")
     if isinstance(state, OccupationState):
-        amp = _apply_decomposed(state.amplitudes, state.basis, *ops)
+        amp = _apply_decomposed(state.amplitudes, state.basis, phases, mixers)
         return OccupationState(state.basis, amp, state.truncation_tail)
-    half = _apply_decomposed(state.matrix, state.basis, *ops)
-    full = _apply_decomposed(half.conj().T, state.basis, *ops).conj().T
+    half = _apply_decomposed(state.matrix, state.basis, phases, mixers)
+    full = _apply_decomposed(half.conj().T, state.basis, phases, mixers).conj().T
     # rounding can leave a ~1e-16 hermiticity residual; symmetrize it away
     full = 0.5 * (full + full.conj().T)
     return DensityOperator(state.basis, full, state.truncation_tail)

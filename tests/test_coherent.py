@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import states
 from bellsim import coherent, detection, fock
 from bellsim.detection import AngleSettings
+from bellsim.policy import DEFAULT_POLICY
 
 ANGLES = AngleSettings(0.4, 1.1, 2.0, 0.7)
 
@@ -56,6 +59,52 @@ def test_single_component_mixture_equals_coherent():
     a = coherent.mixture_ch(mix, ANGLES)
     b = detection.ch_functional(coherent.CoherentAmplitudes(z), ANGLES)
     assert abs(a.f - b.f) < 1e-15
+
+
+def test_coherent_amplitudes_refuse_a_wrong_shape_or_non_finite_value():
+    with pytest.raises(ValueError, match=r"^expected 4 amplitudes, got shape \(3,\)$"):
+        coherent.CoherentAmplitudes(np.zeros(3))
+    with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+        coherent.CoherentAmplitudes([0.0, complex(0.0, math.inf), 0.0, 0.0])
+
+
+AMPLITUDES = st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8).map(
+    lambda parts: np.array(parts[:4]) + 1j * np.array(parts[4:])
+)
+ANGLE_LISTS = st.lists(st.floats(0.0, math.pi), min_size=1, max_size=5)
+
+
+def assert_tables_identical(got, want):
+    assert len(got) == len(want) == 4
+    for got_table, want_table in zip(got, want):
+        assert np.array_equal(got_table, want_table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=AMPLITUDES, thetas1=ANGLE_LISTS, thetas2=ANGLE_LISTS)
+def test_a_coherent_state_is_the_one_component_mixture(z, thetas1, thetas2):
+    state = coherent.CoherentAmplitudes(z)
+    assert isinstance(state, coherent.ClassicalMixture)
+    tables, tail = detection.state_tables(state)
+    want, want_tail = detection.state_tables(coherent.ClassicalMixture(np.ones(1), z[None]))
+    assert tail == want_tail == 0.0
+    assert_tables_identical(tables(thetas1, thetas2), want(thetas1, thetas2))
+
+
+# a tail tolerance of 1 lets every drawn state build at every cutoff
+LOOSE_TAIL = dataclasses.replace(DEFAULT_POLICY, coherent_tail_tol=1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=AMPLITUDES, cutoff=st.integers(4, 12), thetas1=ANGLE_LISTS, thetas2=ANGLE_LISTS)
+def test_the_fock_one_component_mixture_is_the_coherent_state(z, cutoff, thetas1, thetas2):
+    # the CLI builds a Fock coherent state as this one-component mixture
+    pure = fock.synthesize_coherent(z, cutoff, LOOSE_TAIL)
+    mixed = fock.synthesize_coherent_mixture([1.0], [z], cutoff, LOOSE_TAIL)
+    tables, tail = detection.state_tables(mixed)
+    want, want_tail = detection.state_tables(pure)
+    assert tail == want_tail
+    assert_tables_identical(tables(thetas1, thetas2), want(thetas1, thetas2))
 
 
 def pointwise_rate(mixture, theta1, theta2):
@@ -137,6 +186,19 @@ def test_nonviolation_trial_is_reproducible():
     assert a.angles == b.angles
     c = coherent.nonviolation_trial(21, 5)
     assert c.f != a.f
+
+
+@pytest.mark.parametrize("seed", [0, 7, 944904])
+def test_mixture_draws_replay_the_flat_dirichlet(seed):
+    # the weights are normalized standard exponentials, which must be the
+    # documented rng.dirichlet(np.ones(count)) draw bit for bit, and leave
+    # the generator where dirichlet leaves it
+    for trial in range(700):
+        weights, parts = coherent._mixture_draws(np.random.default_rng([seed, trial]))
+        rng = np.random.default_rng([seed, trial])
+        count = int(rng.integers(1, coherent._MAX_COMPONENTS + 1))
+        assert np.array_equal(weights, rng.dirichlet(np.ones(count)))
+        assert np.array_equal(parts, rng.uniform(-2.0, 2.0, size=(2, count, 4)))
 
 
 def test_classical_suite_small_run():

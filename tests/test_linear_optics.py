@@ -86,6 +86,17 @@ def test_decompose_rejects_non_unitary():
         linear_optics.decompose_passive(np.ones((3, 3), dtype=np.complex128))
 
 
+def test_apply_passive_refuses_a_non_unitary_or_wrong_sized_matrix():
+    state = fock.two_photon_state()
+    with pytest.raises(ValueError, match=r"^matrix is not unitary \(residual 3\.000e\+00\)$"):
+        linear_optics.apply_passive(state, 2.0 * np.eye(4))
+    with pytest.raises(ValueError, match="^matrix acts on 3 modes, state has 4$"):
+        linear_optics.apply_passive(state, np.eye(3))
+    # unitarity is checked before the mode count
+    with pytest.raises(ValueError, match="^matrix is not unitary"):
+        linear_optics.apply_passive(state, 2.0 * np.eye(3))
+
+
 def test_apply_passive_matches_dense_two_modes():
     rng = np.random.default_rng(17)
     cutoff = 4
