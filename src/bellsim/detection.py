@@ -16,7 +16,8 @@ angles at once, for every kind of Fock state.
 The Gaussian and coherent engines produce the same four rate tables, and
 :func:`state_tables` picks the engine for a state. The CH report, the
 single rates and the angle scan are all built on it, so each takes a
-state of any engine.
+state of any engine. The scan's grid maximum and each step of its compass
+polish pick their setting by one separable search, :func:`_best_setting`.
 
 Beam one holds modes (0, 1), beam two modes (2, 3). A polarizer angle of
 ``None`` means the polarizer is removed and the whole beam is watched.
@@ -402,92 +403,85 @@ class ScanResult:
 SCAN_TIE_TOL = 1e-12
 
 
-def scan_angle_tables(p_tt, p_t_any, p_any_t, p_any_any, thetas):
-    """Exhaustive CH maximization over a grid, from precomputed rate tables.
+def _best_setting(a_ij, a_il, a_kj, a_kl, t, s):
+    """The CH maximum over the settings (i, j, k, l) of four blocks of A = p_tt.
 
-    Returns (best angle 4-tuple, grid maximum of f). The best angles are
-    the lexicographically first grid point (i, j, k, l) whose f lies
-    within SCAN_TIE_TOL of the maximum, so maxima that are tied up to
-    rounding give the same angles whatever the last bits of the rates.
+    f(i, j, k, l) = [A_ij - A_il] + [A_kj + A_kl - t_k] - s_j, where i and k
+    index rows and j and l columns: a_ij = A[I, J], a_il = A[I, L],
+    a_kj = A[K, J] and a_kl = A[K, L], t = p_t_any over K, s = p_any_t over
+    J. For each (j, l) the first bracket depends on i alone and the second
+    on k alone, so the search takes O(n^3) time and O(n^2) memory.
+    Rounding is monotone, so maximizing each bracket first gives exactly
+    the maximum of f evaluated in this order.
 
-    With A = p_tt, t = p_t_any and s = p_any_t,
-    f(i, j, k, l) = [A_ij - A_il] + [A_kj + A_kl - t_k] - s_j separates: for each (j, l) the first bracket depends on i alone and
-    the second on k alone, so the search takes O(n^3) time and O(n^2)
-    memory. Rounding is monotone, so maximizing each bracket first gives
-    exactly the maximum of f evaluated in this order.
+    The chosen setting is the first in C order whose f lies within
+    SCAN_TIE_TOL of the maximum, so maxima tied up to rounding give the
+    same setting whatever the last bits of the rates. Returns ((i, j, k, l),
+    maximum, f at that setting); a maximum that is not finite is a
+    ValueError.
     """
-    a = np.asarray(p_tt, dtype=np.float64)
-    t = np.asarray(p_t_any, dtype=np.float64)
-    s = np.asarray(p_any_t, dtype=np.float64)[:, None]
-    n = len(a)
+    s = s[:, None]
 
     def outer(i):  # [j, l]: A_ij - A_il
-        return a[i, :, None] - a[i, None, :]
+        return a_ij[i, :, None] - a_il[i, None, :]
 
     def inner(k):  # [j, l]: A_kj + A_kl - t_k
-        return (a[k, :, None] + a[k, None, :]) - t[k]
+        return (a_kj[k, :, None] + a_kl[k, None, :]) - t[k]
 
-    best_inner = inner(0)
     best_outer = outer(0)
-    for k in range(1, n):
+    for i in range(1, len(a_ij)):
+        np.maximum(best_outer, outer(i), out=best_outer)
+    best_inner = inner(0)
+    for k in range(1, len(a_kj)):
         np.maximum(best_inner, inner(k), out=best_inner)
-        np.maximum(best_outer, outer(k), out=best_outer)
     grid_max = float(np.max((best_outer + best_inner) - s))
     if not math.isfinite(grid_max):
         raise ValueError(f"grid maximum of f is {grid_max}")
     threshold = grid_max - SCAN_TIE_TOL
 
-    for i in range(n):
+    for i in range(len(a_ij)):
         by_jl = (outer(i) + best_inner) - s  # max over k of f(i, j, k, l)
         if np.max(by_jl) >= threshold:
             break
     j = int(np.argmax(np.max(by_jl, axis=1) >= threshold))
-    by_kl = (a[i, j] - a[i, None, :]) + ((a[:, j, None] + a) - t[:, None])
+    by_kl = (a_ij[i, j] - a_il[i, None, :]) + ((a_kj[:, j, None] + a_kl) - t[:, None])
     by_kl = by_kl - s[j]
     k = int(np.argmax(np.max(by_kl, axis=1) >= threshold))
     l = int(np.argmax(by_kl[k] >= threshold))
-    best = tuple(float(thetas[m]) for m in (i, j, k, l))
-    return best, grid_max
+    return (i, j, k, l), grid_max, float(by_kl[k, l])
+
+
+def scan_angle_tables(p_tt, p_t_any, p_any_t, p_any_any, thetas):
+    """Exhaustive CH maximization over a grid, from precomputed rate tables.
+
+    Returns (best angle 4-tuple, grid maximum of f): the grid point that
+    :func:`_best_setting` picks over every (i, j, k, l), as angles.
+    """
+    a, t, s = (np.asarray(table, dtype=np.float64) for table in (p_tt, p_t_any, p_any_t))
+    setting, grid_max, _ = _best_setting(a, a, a, a, t, s)
+    return tuple(float(thetas[m]) for m in setting), grid_max
 
 
 REFINE_MIN_STEP = 1e-8
 REFINE_MAX_STEPS = 200
 
 
-def _compass_step(tables, centre, step):
-    """Best of the 3^4 settings centre + {-h, 0, h}^4 from one table evaluation.
-
-    The tables are evaluated once, on each beam's six stencil angles: for
-    beam one theta1 - h, theta1, theta1 + h (indices 0-2) and the same for
-    theta1' (indices 3-5), and likewise for beam two. Only settings that
-    keep each angle in its own neighbourhood are compared: the other
-    combinations of a beam's angles jump to distant settings, which turns
-    the polish into a random restart and loses the grid maximum's basin. As
-    in :func:`scan_angle_tables`, the best setting is the first in C order
-    whose f lies within SCAN_TIE_TOL of the maximum, so settings tied up
-    to rounding do not make the path follow the last bits of the rates.
-    """
-    points = np.add.outer(centre, (-step, 0.0, step))  # [angle, offset]
-    a, t, s, _ = tables(points[0::2].ravel(), points[1::2].ravel())
-    i, j, k, l = np.ix_(range(3), range(3), range(3, 6), range(3, 6))
-    # f = [A_ij - A_il] + [A_kj + A_kl - t_k] - s_j over the (i, j, k, l) stencil
-    f = (a[i, j] - a[i, l]) + ((a[k, j] + a[k, l]) - t[k]) - s[j]
-    best = np.unravel_index(int(np.argmax(f >= np.max(f) - SCAN_TIE_TOL)), f.shape)
-    return points[np.arange(4), best], float(f[best])
-
-
 def _refine(tables, start, grid_f, step):
     """Polish a grid maximum by a shrinking compass scan on the rate tables.
 
     ``tables(thetas1, thetas2)`` returns an engine's four rate tables, as
-    from :func:`state_tables`. Each step takes the best of the 3^4 settings
-    around a centre point, each angle moved by -h, 0 or +h (see
-    :func:`_compass_step`). The best point moves there when it beats the
-    current f by more than SCAN_TIE_TOL. The next centre is then one more
-    such displacement ahead (a Hooke-Jeeves pattern move), so the scan
-    speeds up along a ridge that no compass direction follows; when a
-    centre ahead finds nothing better the scan explores around the best
-    point again, and when that finds nothing either h is halved. The scan
+    from :func:`state_tables`. Each step evaluates them once, on each
+    beam's six stencil angles: for beam one theta1 - h, theta1, theta1 + h
+    (indices 0-2) and the same for theta1' (indices 3-5), and likewise for
+    beam two. :func:`_best_setting` picks the best of the 3^4 settings that
+    move each angle by -h, 0 or +h; the other combinations of a beam's
+    angles jump to distant settings, which turns the polish into a random
+    restart and loses the grid maximum's basin. The scan moves there when
+    it beats the current f by more than SCAN_TIE_TOL, and the next centre
+    is one more such displacement ahead (a Hooke-Jeeves pattern move), so
+    the scan speeds up along a ridge that no compass direction follows;
+    when a centre ahead finds nothing better the scan explores around the
+    best point again, and when that finds nothing either h is halved. It
     stops once h < REFINE_MIN_STEP or after REFINE_MAX_STEPS evaluations.
 
     Returns (angles, f) with f the value of the tables at the angles; the
@@ -500,7 +494,11 @@ def _refine(tables, start, grid_f, step):
             break
         # angles stay unwrapped so that a displacement is a plain difference;
         # the tables are pi-periodic and AngleSettings folds the result
-        candidate, candidate_f = _compass_step(tables, centre, step)
+        points = np.add.outer(centre, (-step, 0.0, step))  # [angle, offset]
+        a, t, s, _ = tables(points[0::2].ravel(), points[1::2].ravel())
+        blocks = a[:3, :3], a[:3, 3:], a[3:, :3], a[3:, 3:], t[3:], s[:3]
+        best, _, candidate_f = _best_setting(*blocks)
+        candidate = points[np.arange(4), best]
         if candidate_f > best_f + SCAN_TIE_TOL:
             centre = 2.0 * candidate - angles
             angles, best_f = candidate, candidate_f

@@ -303,8 +303,9 @@ def _reduced_keys(basis, keep, traced):
 def partial_trace(state, keep):
     """Trace out every mode not listed in ``keep``.
 
-    Accepts a pure state or a density operator and returns a
-    DensityOperator over the kept modes (ascending order, same cutoff).
+    Accepts a pure state, a mixed state or a density operator and returns
+    a DensityOperator over the kept modes (ascending order, same cutoff);
+    keeping every mode returns a mixed state or density operator as it is.
     The trace is preserved exactly up to rounding.
     """
     basis = state.basis
@@ -321,11 +322,14 @@ def partial_trace(state, keep):
 
     keep_basis, traced_basis, keep_idx, traced_idx = _reduced_keys(basis, keep, traced)
 
-    if isinstance(state, OccupationState):
-        # rho_red = A A^dagger where A[k, t] is the amplitude of (k, t)
-        block = np.zeros((keep_basis.size, traced_basis.size), dtype=np.complex128)
-        block[keep_idx, traced_idx] = state.amplitudes
-        reduced = block @ block.conj().T
+    if isinstance(state, (OccupationState, MixedState)):
+        # rho_red = sum_r w_r B_r B_r^dagger where B_r[k, t] is the amplitude of
+        # (k, t) in component r; a pure state is one component of weight 1
+        vectors = state.amplitudes.reshape(-1, basis.size)
+        block = np.zeros((keep_basis.size, len(vectors), traced_basis.size), dtype=np.complex128)
+        block[keep_idx, :, traced_idx] = vectors.T
+        weighted = block * state.weights[:, None] if isinstance(state, MixedState) else block
+        reduced = weighted.reshape(len(block), -1) @ block.reshape(len(block), -1).conj().T
     else:
         reduced = np.zeros((keep_basis.size, keep_basis.size), dtype=np.complex128)
         for t in range(traced_basis.size):

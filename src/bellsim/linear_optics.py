@@ -8,12 +8,13 @@ Givens-style triangular decomposition. Modes are indexed from 0.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityOperator, OccupationState, enumerate_basis
+from .fock import DensityOperator, MixedState, OccupationState, enumerate_basis
 
 # largest residual a unitarity (U^dag U = I) or symplectic check accepts
 UNITARITY_TOL = 1e-10
@@ -194,18 +195,18 @@ def _apply_decomposed(amplitudes, basis, phases, mixers):
 
 
 def apply_passive(state, matrix):
-    """Apply a passive unitary to a pure state or density operator.
+    """Apply a passive unitary to a pure state, mixed state or density operator.
 
     Photon number is conserved, so the action is exact within every
-    total-photon shell and the truncation tail is unchanged. Coherent
-    states map as z -> matrix z.
+    total-photon shell and the truncation tail is unchanged. A mixed state
+    maps component by component and keeps its weights.
     """
     phases, mixers = decompose_passive(matrix)  # checks that the matrix is unitary
     if phases.size != state.mode_count:
         raise ValueError(f"matrix acts on {phases.size} modes, state has {state.mode_count}")
-    if isinstance(state, OccupationState):
-        amp = _apply_decomposed(state.amplitudes, state.basis, phases, mixers)
-        return OccupationState(state.basis, amp, state.truncation_tail)
+    if isinstance(state, (OccupationState, MixedState)):
+        amp = _apply_decomposed(state.amplitudes.T, state.basis, phases, mixers).T
+        return dataclasses.replace(state, amplitudes=amp)
     half = _apply_decomposed(state.matrix, state.basis, phases, mixers)
     full = _apply_decomposed(half.conj().T, state.basis, phases, mixers).conj().T
     # rounding can leave a ~1e-16 hermiticity residual; symmetrize it away

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracle
 import states
-from bellsim import fock, linear_optics
+from bellsim import detection, fock, linear_optics
 from bellsim.detection import _polarizer_vectors
 
 
@@ -152,6 +152,37 @@ def test_apply_passive_moves_coherent_amplitudes():
     moved = linear_optics.apply_passive(fock.synthesize_coherent(z, cutoff), u)
     direct = fock.synthesize_coherent(u @ z, cutoff)
     assert np.max(np.abs(moved.amplitudes - direct.amplitudes)) < 1e-9
+
+
+def test_a_mixed_state_maps_and_traces_like_its_density_operator():
+    # apply_passive and partial_trace take a MixedState component by
+    # component; its density operator sum_r w_r |v_r><v_r| takes the dense paths
+    mixed = fock.synthesize_coherent_mixture(
+        [0.4, 0.6], [[0.3, 0.1, 0.2, 0], [0.1, 0.2, 0, 0.3]], 6
+    )
+
+    def density(state):
+        amps = state.amplitudes
+        matrix = np.einsum("r,ri,rj->ij", state.weights, amps, amps.conj())
+        return fock.DensityOperator(state.basis, matrix, state.truncation_tail)
+
+    u = states.haar_unitary(np.random.default_rng(5), 4)
+    moved = linear_optics.apply_passive(mixed, u)
+    moved_rho = linear_optics.apply_passive(density(mixed), u)
+    assert isinstance(moved, fock.MixedState)
+    assert np.array_equal(moved.weights, mixed.weights)
+    assert moved.truncation_tail == mixed.truncation_tail
+    assert np.max(np.abs(density(moved).matrix - moved_rho.matrix)) < 1e-12
+    for keep in [(0, 1), (1, 3), (2,)]:
+        got = fock.partial_trace(moved, keep)
+        want = fock.partial_trace(moved_rho, keep)
+        assert got.truncation_tail == want.truncation_tail
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+    thetas = np.arange(5) * np.pi / 5
+    got = detection.state_tables(moved)[0](thetas, thetas)
+    want = detection.state_tables(moved_rho)[0](thetas, thetas)
+    for table, reference in zip(got, want):
+        assert np.max(np.abs(table - reference)) < 1e-12
 
 
 def test_diagonal_unitary_becomes_phases():

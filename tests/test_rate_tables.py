@@ -13,6 +13,7 @@ import oracle
 import states
 from bellsim import coherent, detection, fock, gaussian, linear_optics
 from bellsim.detection import AngleSettings
+from test_refine import dense_stencil_best
 
 
 def state_rate_tables(state, thetas1, thetas2):
@@ -476,10 +477,24 @@ def test_scan_maximum_matches_brute_force_with_ties(seed):
     want_best, want_max = brute_force_scan(p_tt, p_t_any, p_any_t, thetas)
     assert best == want_best
     assert abs(grid_max - want_max) < 1e-14
+    # the polish's stencil: the same search on the four 3x3 blocks of six
+    # angles per beam picks the dense array's setting and its f, to the bit
+    a, t, s = tied_tables(rng, 6)
+    blocks = a[:3, :3], a[:3, 3:], a[3:, :3], a[3:, 3:], t[3:], s[:3]
+    assert detection._best_setting(*blocks) == dense_stencil_best(a, t, s)
 
 
-def test_scan_maximum_rejects_non_finite_tables():
-    p_tt = np.full((3, 3), 0.5)
-    p_tt[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        detection.scan_angle_tables(p_tt, np.zeros(3), np.zeros(3), 0.0, np.arange(3))
+@pytest.mark.parametrize("nan_in", ["p_tt", "a_kl"])
+def test_scan_maximum_rejects_non_finite_tables(nan_in):
+    if nan_in == "p_tt":
+        p_tt = np.full((3, 3), 0.5)
+        p_tt[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            detection.scan_angle_tables(p_tt, np.zeros(3), np.zeros(3), 0.0, np.arange(3))
+    else:
+        # a NaN in the a_kl block alone, as a stencil step could meet
+        a = np.full((6, 6), 0.5)
+        a[4, 5] = np.nan
+        blocks = a[:3, :3], a[:3, 3:], a[3:, :3], a[3:, 3:], np.zeros(3), np.zeros(3)
+        with pytest.raises(ValueError, match="grid maximum of f is nan"):
+            detection._best_setting(*blocks)

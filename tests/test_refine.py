@@ -28,6 +28,21 @@ def nelder_mead_reference(report, start, grid_f):
     return max(-float(result.fun), grid_f)
 
 
+def dense_stencil_best(a, t, s):
+    """The polish's pick over a stencil, from the dense 3^4 array of f.
+
+    ``a``, ``t`` and ``s`` are rate tables on six angles per beam, the first
+    three around theta1 (theta2) and the last three around theta1'
+    (theta2'). Returns ((i, j, k, l), maximum, f there) for the first
+    setting in C order whose f lies within SCAN_TIE_TOL of the maximum,
+    with k and l counted from the fourth angle.
+    """
+    i, j, k, l = np.ix_(range(3), range(3), range(3, 6), range(3, 6))
+    f = (a[i, j] - a[i, l]) + ((a[k, j] + a[k, l]) - t[k]) - s[j]
+    best = np.unravel_index(int(np.argmax(f >= np.max(f) - detection.SCAN_TIE_TOL)), f.shape)
+    return tuple(int(m) for m in best), float(np.max(f)), float(f[best])
+
+
 def random_pure_state(rng, cutoff):
     basis = fock.enumerate_basis(4, cutoff)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
