@@ -146,6 +146,10 @@ class MixedState(_OnBasis):
                 f"expected ({self.weights.size}, {self.basis.size})"
             )
 
+    def to_density_operator(self):
+        weighted = self.amplitudes.T * self.weights
+        return DensityOperator(self.basis, weighted @ self.amplitudes.conj(), self.truncation_tail)
+
 
 @dataclass(frozen=True)
 class DensityOperator(_OnBasis):
@@ -304,8 +308,7 @@ def partial_trace(state, keep):
     """Trace out every mode not listed in ``keep``.
 
     Accepts a pure state, a mixed state or a density operator and returns
-    a DensityOperator over the kept modes (ascending order, same cutoff);
-    keeping every mode returns a mixed state or density operator as it is.
+    a DensityOperator over the kept modes (ascending order, same cutoff).
     The trace is preserved exactly up to rounding.
     """
     basis = state.basis
@@ -316,9 +319,7 @@ def partial_trace(state, keep):
         raise ValueError(f"keep modes {keep} out of range")
     traced = [m for m in range(basis.mode_count) if m not in keep]
     if not traced:
-        if isinstance(state, OccupationState):
-            return state.to_density_operator()
-        return state
+        return state if isinstance(state, DensityOperator) else state.to_density_operator()
 
     keep_basis, traced_basis, keep_idx, traced_idx = _reduced_keys(basis, keep, traced)
 
@@ -328,7 +329,7 @@ def partial_trace(state, keep):
         vectors = state.amplitudes.reshape(-1, basis.size)
         block = np.zeros((keep_basis.size, len(vectors), traced_basis.size), dtype=np.complex128)
         block[keep_idx, :, traced_idx] = vectors.T
-        weighted = block * state.weights[:, None] if isinstance(state, MixedState) else block
+        weighted = block * getattr(state, "weights", np.ones(1))[:, None]
         reduced = weighted.reshape(len(block), -1) @ block.reshape(len(block), -1).conj().T
     else:
         reduced = np.zeros((keep_basis.size, keep_basis.size), dtype=np.complex128)

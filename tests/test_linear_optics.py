@@ -173,9 +173,11 @@ def test_a_mixed_state_maps_and_traces_like_its_density_operator():
     assert np.array_equal(moved.weights, mixed.weights)
     assert moved.truncation_tail == mixed.truncation_tail
     assert np.max(np.abs(density(moved).matrix - moved_rho.matrix)) < 1e-12
-    for keep in [(0, 1), (1, 3), (2,)]:
+    # keeping every mode also returns the density operator
+    for keep in [(0, 1), (1, 3), (2,), (0, 1, 2, 3)]:
         got = fock.partial_trace(moved, keep)
         want = fock.partial_trace(moved_rho, keep)
+        assert isinstance(got, fock.DensityOperator)
         assert got.truncation_tail == want.truncation_tail
         assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
     thetas = np.arange(5) * np.pi / 5

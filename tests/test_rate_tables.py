@@ -13,7 +13,6 @@ import oracle
 import states
 from bellsim import coherent, detection, fock, gaussian, linear_optics
 from bellsim.detection import AngleSettings
-from test_refine import dense_stencil_best
 
 
 def state_rate_tables(state, thetas1, thetas2):
@@ -448,6 +447,21 @@ def brute_force_scan(p_tt, p_t_any, p_any_t, thetas):
     first = int(np.argmax(f.ravel() >= grid_max - detection.SCAN_TIE_TOL))
     idx = np.unravel_index(first, f.shape)
     return tuple(float(thetas[k]) for k in idx), grid_max
+
+
+def dense_stencil_best(a, t, s):
+    """The polish's pick over a stencil, from the dense 3^4 array of f.
+
+    ``a``, ``t`` and ``s`` are rate tables on six angles per beam, the first
+    three around theta1 (theta2) and the last three around theta1'
+    (theta2'). Returns ((i, j, k, l), maximum, f there) for the first
+    setting in C order whose f lies within SCAN_TIE_TOL of the maximum,
+    with k and l counted from the fourth angle.
+    """
+    i, j, k, l = np.ix_(range(3), range(3), range(3, 6), range(3, 6))
+    f = (a[i, j] - a[i, l]) + ((a[k, j] + a[k, l]) - t[k]) - s[j]
+    best = np.unravel_index(int(np.argmax(f >= np.max(f) - detection.SCAN_TIE_TOL)), f.shape)
+    return tuple(int(m) for m in best), float(np.max(f)), float(f[best])
 
 
 def tied_tables(rng, n):

@@ -28,21 +28,6 @@ def nelder_mead_reference(report, start, grid_f):
     return max(-float(result.fun), grid_f)
 
 
-def dense_stencil_best(a, t, s):
-    """The polish's pick over a stencil, from the dense 3^4 array of f.
-
-    ``a``, ``t`` and ``s`` are rate tables on six angles per beam, the first
-    three around theta1 (theta2) and the last three around theta1'
-    (theta2'). Returns ((i, j, k, l), maximum, f there) for the first
-    setting in C order whose f lies within SCAN_TIE_TOL of the maximum,
-    with k and l counted from the fourth angle.
-    """
-    i, j, k, l = np.ix_(range(3), range(3), range(3, 6), range(3, 6))
-    f = (a[i, j] - a[i, l]) + ((a[k, j] + a[k, l]) - t[k]) - s[j]
-    best = np.unravel_index(int(np.argmax(f >= np.max(f) - detection.SCAN_TIE_TOL)), f.shape)
-    return tuple(int(m) for m in best), float(np.max(f)), float(f[best])
-
-
 def random_pure_state(rng, cutoff):
     basis = fock.enumerate_basis(4, cutoff)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
@@ -155,6 +140,17 @@ def test_polish_keeps_the_grid_point_when_nothing_beats_it():
     assert 0 < len(calls) <= detection.REFINE_MAX_STEPS
     # each beam's tables cover only its own two angles' three-point stencils
     assert set(calls) == {(6, 6)}
+
+
+def test_polish_refuses_a_non_finite_maximum():
+    # rates finite at the start angles and NaN off them: a polish step meets
+    # a NaN maximum and stops with the grid's error instead of staying put
+    def tables(thetas1, thetas2):
+        off = np.add.outer(thetas1 != 0.0, thetas2 != 0.0)
+        return np.where(off, np.nan, 0.0), np.zeros(len(thetas1)), np.zeros(len(thetas2)), 0.0
+
+    with pytest.raises(ValueError, match="grid maximum of f is nan"):
+        detection._refine(tables, (0.0, 0.0, 0.0, 0.0), 0.0, math.pi / 4)
 
 
 @pytest.mark.parametrize("cutoff", [12, 16, 20])
