@@ -262,7 +262,7 @@ def _normalize_state(spec, key):
     if not isinstance(spec, dict):
         raise ConfigError(f"{key} must be a name or an object, got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         known = ", ".join(sorted(_KINDS))
         raise ConfigError(f"unknown state kind {kind!r} (expected one of: {known})")
     row = _KINDS[kind]
@@ -529,12 +529,11 @@ def cmd_scan(config):
         raise ConfigError("scan uses one engine at a time")
     state = build_state(config, engine)
     result = detection.angle_scan(state, grid_density=config.grid, refine=config.refine)
-    best = result.angles
-    print("best angles: " + _ANGLES_LINE % dataclasses.astuple(best))
+    report = detection.ch_functional(state, result.angles, config.policy)
+    print("best angles: " + _ANGLES_LINE % dataclasses.astuple(result.angles))
     print(f"grid f = {result.grid_f:.12f} over {result.grid_density}^4 points")
     if result.refined:
         print(f"refined f = {result.f:.12f}")
-    report = detection.ch_functional(state, best, config.policy)
     print(f"verdict at best angles: {report.verdict}")
     return 0
 
@@ -711,8 +710,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         config = ExperimentConfig.load(args)
         return _COMMANDS[args.command][2](config)
-    except (BellSimError, ValueError, OSError, MemoryError) as exc:
-        # a bare MemoryError has no message
+    except (BellSimError, ValueError, OSError, MemoryError, RecursionError) as exc:
+        # a bare MemoryError has no message; a RecursionError is JSON nested too deep
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

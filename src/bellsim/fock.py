@@ -237,31 +237,28 @@ def synthesize_coherent(z, cutoff, policy=DEFAULT_POLICY):
     """Multimode coherent state |z_1> ... |z_k> truncated at a total cutoff.
 
     Amplitudes are the exact analytic ones, exp(-|z|^2/2) prod z^n/sqrt(n!);
-    no renormalization is applied. The discarded weight must satisfy the
-    policy tail bound, otherwise a TruncationTailError reports the cutoff
-    that would; a state that needs more than ``cutoff`` is refused before
-    any amplitude is formed.
+    no renormalization is applied. The discarded weight is the Poisson tail
+    P(N > cutoff) of the total photon number; unless it meets the policy
+    tail bound, a TruncationTailError names the smallest cutoff that does,
+    before any amplitude is formed.
     """
     z = np.asarray(z, dtype=np.complex128)
     basis = enumerate_basis(z.size, cutoff, policy)
     lam, tails = _photon_number_tails(z)
-    needed = int(np.argmax(tails <= policy.coherent_tail_tol))
-    if needed <= cutoff:
-        log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
-        # per-mode amplitude table: z^n / sqrt(n!)
-        table = z[:, None] ** np.arange(cutoff + 1) * np.exp(-0.5 * log_fact)
-        amp = np.prod(table[np.arange(z.size)[None, :], basis.occupations], axis=1)
-        amp *= math.exp(-0.5 * lam)
-        tail = max(0.0, 1.0 - float(np.sum(np.abs(amp) ** 2)))
-        if tail <= policy.coherent_tail_tol:
-            return OccupationState(basis, amp, tail)
-    else:
-        tail = float(tails[cutoff])
-    raise TruncationTailError(
-        f"coherent tail {tail:.3e} exceeds {policy.coherent_tail_tol:.1e} at "
-        f"cutoff {cutoff}; cutoff {needed} would satisfy the bound",
-        required_cutoff=needed,
-    )
+    tail = float(tails[min(cutoff, tails.size - 1)])
+    if tail > policy.coherent_tail_tol:
+        needed = int(np.argmax(tails <= policy.coherent_tail_tol))
+        raise TruncationTailError(
+            f"coherent tail {tail:.3e} exceeds {policy.coherent_tail_tol:.1e} at "
+            f"cutoff {cutoff}; cutoff {needed} would satisfy the bound",
+            required_cutoff=needed,
+        )
+    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
+    # per-mode amplitude table: z^n / sqrt(n!)
+    table = z[:, None] ** np.arange(cutoff + 1) * np.exp(-0.5 * log_fact)
+    amp = np.prod(table[np.arange(z.size)[None, :], basis.occupations], axis=1)
+    amp *= math.exp(-0.5 * lam)
+    return OccupationState(basis, amp, tail)
 
 
 def synthesize_coherent_mixture(weights, components, cutoff, policy=DEFAULT_POLICY):

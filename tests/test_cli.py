@@ -664,6 +664,33 @@ def test_a_memory_error_without_a_message_is_named(monkeypatch, capsys):
     assert (code, out, err) == (1, "", "error: MemoryError\n")
 
 
+def test_scan_prints_nothing_when_its_verdict_fails(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(detection, "ch_functional", broken)
+    code, out, err = run_cli(["scan", "--state", "two_photon", "--grid", "4"], capsys)
+    assert (code, out, err) == (1, "", "error: boom\n")
+
+
+@pytest.mark.parametrize("where", ["config", "state file", "inline state"])
+def test_json_nested_too_deep_is_one_error_line(where, tmp_path, capsys):
+    # json.dumps recurses as deep as its input, so the text is written by hand
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    if where == "config":
+        argv = ["run", "--config", str(path)]
+    elif where == "state file":
+        argv = ["run", "--state", json.dumps({"kind": "file", "path": str(path)})]
+    else:
+        argv = ["run", "--state", '{"kind": ' + "[" * 3000 + "]" * 3000 + "}"]
+    code, out, err = run_cli(argv + ["--angles", "0,0,0,0"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_help_still_exits_zero(capsys):
     for argv in (["--help"], ["run", "--help"]):
         with pytest.raises(SystemExit) as stop:
@@ -810,6 +837,8 @@ def test_a_saturated_coherent_state_runs_on_the_analytic_engine(capsys):
         {"kind": "coherent", "z": [True, 0, 0, 0]},
         {"kind": "file", "occupation": 5},
         {"kind": "file", "amplitudes": [5]},
+        {"kind": []},
+        {"kind": {}},
     ],
     ids=lambda spec: json.dumps(spec),
 )

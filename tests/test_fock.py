@@ -10,7 +10,7 @@ from scipy.stats import poisson
 import oracle
 import states
 from bellsim import fock
-from bellsim.policy import DimensionLimitError, TruncationTailError
+from bellsim.policy import DimensionLimitError, NumericalPolicy, TruncationTailError
 
 
 def test_basis_size_four_modes_cutoff_sixteen():
@@ -174,6 +174,24 @@ def test_a_coherent_state_past_the_cutoff_is_refused_before_synthesis():
     for z in (1e200, math.inf):
         with pytest.raises(ValueError, match="beyond any cutoff"):
             fock.synthesize_coherent([z, 0, 0, 0], 16)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-16])
+def test_the_cutoff_a_coherent_refusal_names_is_accepted(tol):
+    # one tail, P(N > cutoff), refuses a cutoff and names the smallest
+    # cutoff it accepts
+    z = np.array([1.2, 0.7, 0.3, 0.9])
+    policy = NumericalPolicy(coherent_tail_tol=tol)
+    with pytest.raises(TruncationTailError) as refused:
+        fock.synthesize_coherent(z, 1, policy)
+    needed = refused.value.required_cutoff
+    assert f"cutoff {needed} would satisfy the bound" in str(refused.value)
+    with pytest.raises(TruncationTailError, match=f"cutoff {needed} would"):
+        fock.synthesize_coherent(z, needed - 1, policy)
+    state = fock.synthesize_coherent(z, needed, policy)
+    assert state.truncation_tail <= tol
+    assert state.truncation_tail == pytest.approx(poisson.sf(needed, np.sum(z**2)), rel=1e-12)
+    assert abs(states.norm(state) ** 2 + state.truncation_tail - 1.0) < 1e-13
 
 
 def test_two_photon_state_support():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 import states
@@ -177,3 +179,49 @@ def test_polish_ignores_the_last_bits_of_the_rates(cutoff):
         angles, f = polish(noisy)
         assert angles == plain_angles
         assert abs(f - plain_f) < 1e-12
+
+
+def one_photon_per_beam_state(seed, rank, cutoff):
+    """A rank-``rank`` state on the sector |k, 1-k, l, 1-l>, embedded at ``cutoff``.
+
+    Each beam holds one photon, whose polarization is a qubit.
+    """
+    rng = np.random.default_rng(seed)
+    basis = fock.enumerate_basis(4, cutoff)
+    sector = [basis.index_of((k, 1 - k, l, 1 - l)) for k in (0, 1) for l in (0, 1)]
+    amplitudes = np.zeros((rank, basis.size), dtype=np.complex128)
+    amplitudes[:, sector] = rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))
+    amplitudes /= np.linalg.norm(amplitudes, axis=1, keepdims=True)
+    if rank == 1:
+        return fock.OccupationState(basis, amplitudes[0])
+    return fock.MixedState(basis, rng.dirichlet(np.ones(rank)), amplitudes)
+
+
+def exact_one_photon_max_f(state):
+    """The largest CH f over linear analyzers for one photon per beam (Horodecki).
+
+    With a photon sure to reach each beam, +1 for transmitted and -1 for
+    blocked, the correlation at polarizer angles (a, b) is
+    4 p_tt - 2 p_t_any - 2 p_any_t + 1, and angles 0 and pi/4 are
+    orthogonal axes of the linear-polarization plane. The largest CHSH
+    value is 2 sqrt(s1^2 + s2^2), for s1, s2 the singular values of the
+    2x2 correlation block T, and f = (CHSH - 2) / 4.
+    """
+    axes = [0.0, math.pi / 4]
+    p_tt, p_t_any, p_any_t, _ = detection.state_tables(state)[0](axes, axes)
+    correlations = 4.0 * p_tt - 2.0 * p_t_any[:, None] - 2.0 * p_any_t[None, :] + 1.0
+    s = np.linalg.svd(correlations, compute_uv=False)
+    return (math.sqrt(s[0] ** 2 + s[1] ** 2) - 1.0) / 2.0
+
+
+def test_the_exact_one_photon_maximum_of_the_two_photon_state():
+    assert abs(exact_one_photon_max_f(fock.two_photon_state()) - TWO_PHOTON_MAX_F) < 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), cutoff=st.integers(2, 4))
+def test_the_scan_reaches_the_exact_one_photon_maximum(seed, rank, cutoff):
+    state = one_photon_per_beam_state(seed, rank, cutoff)
+    exact = exact_one_photon_max_f(state)
+    result = detection.angle_scan(state, grid_density=16, refine=True)
+    assert exact - 1e-9 <= result.f <= exact + 1e-12
