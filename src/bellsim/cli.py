@@ -81,6 +81,18 @@ def _parse_angle_list(values, key):
     return detection.AngleSettings(*(parse_angle(v) for v in values))
 
 
+def _read_json(what, text=None, path=None):
+    """Parse text, or the UTF-8 file at path, as JSON; a parse error names what it read."""
+    try:
+        if path is not None:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        source = what if path is None else f"{what} {path}"
+        raise ConfigError(f"{source}: {exc}") from None
+
+
 def _check_keys(mapping, allowed, context, required=frozenset()):
     unknown = sorted(set(mapping) - allowed)
     if unknown:
@@ -227,8 +239,7 @@ class ExperimentConfig:
         given = vars(args)
         merged = {}
         if given.get("config"):
-            with open(given["config"], encoding="utf-8") as handle:
-                merged = _as_mapping(json.load(handle), "config file")
+            merged = _as_mapping(_read_json("config file", path=given["config"]), "config file")
             refused = sorted(set(merged) - {field.key for field in fields})
             if refused:
                 raise ConfigError(
@@ -258,7 +269,7 @@ def _normalize_state(spec, key):
     """Accept a state as a dict, a JSON string, or a bare kind name."""
     if isinstance(spec, str):
         text = spec.strip()
-        spec = json.loads(text) if text.startswith("{") else {"kind": text}
+        spec = _read_json(key, text) if text.startswith("{") else {"kind": text}
     if not isinstance(spec, dict):
         raise ConfigError(f"{key} must be a name or an object, got {type(spec).__name__}")
     kind = spec.get("kind")
@@ -280,8 +291,7 @@ def _state_file(spec, engine, config):
     """
     if not isinstance(spec["path"], str):
         raise ConfigError(f"state file path: expected a string, got {spec['path']!r}")
-    with open(spec["path"], encoding="utf-8") as handle:
-        data = _as_mapping(json.load(handle), "state file")
+    data = _as_mapping(_read_json("state file", path=spec["path"]), "state file")
     _check_keys(
         data,
         {"mode_count", "cutoff", "amplitudes"},
@@ -538,24 +548,22 @@ def cmd_scan(config):
     return 0
 
 
-def run_validation(
-    seed,
-    trials,
-    cutoff,
-    policy=DEFAULT_POLICY,
-    golden_tol=1e-10,
-    cross_tol=1e-6,
-    classical_tol=1e-9,
-):
-    """Run the self-check suites; returns (ok, printed lines).
+# tests lower these to prove that each comparison runs: its layer must then fail
+GOLDEN_TOL = 1e-10
+CROSS_TOL = 1e-6
+CLASSICAL_TOL = 1e-9
 
-    The tolerance arguments exist so tests can prove the checks are live:
-    an impossible tolerance must make the suite fail.
-    """
+
+def run_validation(seed, trials, cutoff, policy=DEFAULT_POLICY):
+    """Run the self-check suites; returns (ok, printed lines)."""
     from . import coherent, gaussian
 
     lines = []
-    ok = True
+    verdicts = []
+
+    def check(text, ok):
+        verdicts.append(ok)
+        lines.append(f"{text} -> {'pass' if ok else 'FAIL'}")
 
     def vacuum(state):
         return gaussian.vacuum_probability(state, (0,))
@@ -571,12 +579,8 @@ def run_validation(
     gaps += [abs(vacuum(thermal(0.0, k)) - 2.0 * k / (1.0 + k)) for k in (0.5, 0.8, 1.0)]
     gaps += [abs(gaussian.is_squeezed(thermal(u, 1.0))[1] - math.exp(-2 * u) / 2) for u in us]
     worst_golden = max(gaps)
-    golden_ok = worst_golden <= golden_tol
-    ok = ok and golden_ok
-    lines.append(
-        f"golden values: worst gap {worst_golden:.3e} "
-        f"(tol {golden_tol:.1e}) -> {'pass' if golden_ok else 'FAIL'}"
-    )
+    check(f"golden values: worst gap {worst_golden:.3e} (tol {GOLDEN_TOL:.1e})",
+          worst_golden <= GOLDEN_TOL)
 
     def compared(state, settings):
         # P(t1, t2), P(t1, any), P(any, t2) and P(any, any) read theta1 and
@@ -598,32 +602,21 @@ def run_validation(
             settings = rng.uniform(0.0, math.pi, size=(3, 4)) % math.pi
             gap = np.abs(compared(g_state, settings) - compared(f_state, settings))
             worst_cross = max(worst_cross, float(gap.max()))
-    cross_ok = worst_cross <= cross_tol
-    ok = ok and cross_ok
-    lines.append(
-        f"cross-engine rates (cutoff {cutoff}): worst gap {worst_cross:.3e} "
-        f"(tol {cross_tol:.1e}) -> {'pass' if cross_ok else 'FAIL'}"
-    )
+    check(f"cross-engine rates (cutoff {cutoff}): worst gap {worst_cross:.3e} "
+          f"(tol {CROSS_TOL:.1e})", worst_cross <= CROSS_TOL)
 
     if trials == 0:
         lines.append("classical nonviolation: skipped (trials = 0)")
     else:
         suite = coherent.classical_nonviolation_suite(seed, trials, policy)
-        suite_ok = (
-            suite.violations == 0
-            and suite.worst_f <= classical_tol
-            and suite.worst_lower_margin >= -classical_tol
-        )
-        ok = ok and suite_ok
-        lines.append(
-            f"classical nonviolation ({suite.trials} trials): "
-            f"violations {suite.violations}, worst f {suite.worst_f:.3e}, "
-            f"worst lower margin {suite.worst_lower_margin:.3e} "
-            f"-> {'pass' if suite_ok else 'FAIL'}"
-        )
+        check(f"classical nonviolation ({suite.trials} trials): "
+              f"violations {suite.violations}, worst f {suite.worst_f:.3e}, "
+              f"worst lower margin {suite.worst_lower_margin:.3e}",
+              suite.violations == 0 and suite.worst_f <= CLASSICAL_TOL
+              and suite.worst_lower_margin >= -CLASSICAL_TOL)
         if suite.failing_seed is not None:
             lines.append(f"first failing (seed, trial): {suite.failing_seed}")
-    return ok, lines
+    return all(verdicts), lines
 
 
 def cmd_validate(config):
@@ -710,8 +703,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         config = ExperimentConfig.load(args)
         return _COMMANDS[args.command][2](config)
-    except (BellSimError, ValueError, OSError, MemoryError, RecursionError) as exc:
-        # a bare MemoryError has no message; a RecursionError is JSON nested too deep
+    except (BellSimError, ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -499,14 +499,21 @@ def test_validate_prints_the_seeded_numbers(capsys):
     ) in lines
 
 
-def test_validation_checks_are_live():
-    # an impossible tolerance must fail: proof the comparisons really run
-    ok, lines = cli.run_validation(seed=1, trials=2, cutoff=10, golden_tol=1e-30)
-    assert not ok
-    ok, lines = cli.run_validation(seed=1, trials=2, cutoff=10, cross_tol=1e-30)
-    assert not ok
-    ok, _ = cli.run_validation(seed=1, trials=2, cutoff=10)
+def test_validation_checks_are_live(monkeypatch):
+    # an impossible tolerance must fail its own layer and no other: proof that
+    # each comparison really runs
+    ok, lines = cli.run_validation(seed=1, trials=2, cutoff=10)
     assert ok
+    assert len(lines) == 3 and all(line.endswith(" -> pass") for line in lines)
+    for layer, (name, value) in enumerate(
+        [("GOLDEN_TOL", 1e-30), ("CROSS_TOL", 1e-30), ("CLASSICAL_TOL", -1)]
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, value)
+            ok, lines = cli.run_validation(seed=1, trials=2, cutoff=10)
+        assert not ok
+        assert [line.endswith(" -> FAIL") for line in lines] == [i == layer for i in range(3)]
+        assert all(line.endswith(" -> pass") for i, line in enumerate(lines) if i != layer)
 
 
 def test_unknown_state_kind_fails_cleanly(capsys):
@@ -673,22 +680,40 @@ def test_scan_prints_nothing_when_its_verdict_fails(monkeypatch, capsys):
     assert (code, out, err) == (1, "", "error: boom\n")
 
 
-@pytest.mark.parametrize("where", ["config", "state file", "inline state"])
-def test_json_nested_too_deep_is_one_error_line(where, tmp_path, capsys):
-    # json.dumps recurses as deep as its input, so the text is written by hand
-    deep = "[" * 100_000 + "]" * 100_000
-    path = tmp_path / "deep.json"
-    path.write_text(deep)
+# json.dumps recurses as deep as its input, so the deep text is written by hand
+_BAD_JSON_FILES = {
+    "syntax": b'{"cutoff": ',
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8": b'{"cutoff": \xff}',
+}
+
+
+@pytest.mark.parametrize(
+    "where, text",
+    [
+        *(pytest.param(where, text, id=f"{where}-{fault}") for where in ("config", "state file")
+          for fault, text in _BAD_JSON_FILES.items()),
+        pytest.param("inline state", '{"kind": "coh', id="inline state-syntax"),
+        pytest.param("inline state", '{"kind": ' + "[" * 3000 + "]" * 3000 + "}",
+                     id="inline state-deep"),
+    ],
+)
+def test_a_json_error_is_one_line_naming_its_source(where, text, tmp_path, capsys):
+    # a syntax error, JSON nested too deep, or a byte that is not UTF-8
+    path = tmp_path / "bad.json"
     if where == "config":
-        argv = ["run", "--config", str(path)]
+        path.write_bytes(text)
+        argv, source = ["run", "--config", str(path)], f"config file {path}"
     elif where == "state file":
+        path.write_bytes(text)
         argv = ["run", "--state", json.dumps({"kind": "file", "path": str(path)})]
+        source = f"state file {path}"
     else:
-        argv = ["run", "--state", '{"kind": ' + "[" * 3000 + "]" * 3000 + "}"]
+        argv, source = ["run", "--state", text], "state"
     code, out, err = run_cli(argv + ["--angles", "0,0,0,0"], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert err.startswith(f"error: {source}: ") and len(err.strip().splitlines()) == 1
 
 
 def test_help_still_exits_zero(capsys):
