@@ -620,9 +620,10 @@ def run_validation(seed, trials, cutoff, policy=DEFAULT_POLICY):
 
 
 def cmd_validate(config):
-    if config.trials == 0:
-        print("warning: trials = 0, classical suite will be skipped", file=sys.stderr)
     ok, lines = run_validation(config.seed, config.trials, config.cutoff, config.policy)
+    # only after the checks ran, so that a refused setting prints its error alone
+    if config.trials == 0:
+        print("warning: trials = 0, classical suite was skipped", file=sys.stderr)
     for line in lines:
         print(line)
     print("validation:", "pass" if ok else "FAIL")

@@ -128,20 +128,6 @@ class SuiteReport:
     failing_seed: tuple | None
 
 
-def _mixture_draws(rng, max_components=_MAX_COMPONENTS, amplitude_scale=2.0):
-    """Raw draws of a classical mixture: flat simplex weights, box-uniform amplitudes.
-
-    Returns (weights[c], parts[2, c, 4]), with the real parts of the
-    amplitudes drawn before their imaginary parts (see :func:`_complex`).
-    """
-    count = int(rng.integers(1, max_components + 1))
-    # what rng.dirichlet(np.ones(count)) draws, bit for bit, without its per-call overhead
-    weights = rng.standard_exponential(count)
-    weights *= 1.0 / weights.sum()
-    parts = rng.uniform(-amplitude_scale, amplitude_scale, size=(2, count, 4))
-    return weights, parts
-
-
 def _complex(parts):
     """parts[0] + i parts[1]: complex numbers from their drawn real and imaginary parts."""
     return parts[0] + 1j * parts[1]
@@ -152,35 +138,80 @@ def _haar_from_gaussian(m):
 
     Multiplying each column of Q by the conjugate phase of R's diagonal
     makes the result Haar-distributed rather than biased by the QR
-    convention.
+    convention (F. Mezzadri, Notices AMS 54, 592 (2007)); any i.i.d.
+    complex Gaussian entries will do.
     """
     q, r = np.linalg.qr(m)
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diagonal / np.abs(diagonal)).conj()[..., None, :]
 
 
-def _trial_draws(seed, trial, amplitude_scale=2.0):
-    """The raw seeded draws of one trial, in order: the mixture, a Gaussian matrix, angles.
+# the uniform doubles of one trial, in row order: the component count, the
+# weights, the amplitude parts [2, component, 4], the moduli and then the
+# phases of a Gaussian matrix [2, 4, 4], and the angles
+_TRIAL_SIZES = (1, _MAX_COMPONENTS, 2 * _MAX_COMPONENTS * 4, 2 * 4 * 4, 4)
+_TRIAL_DOUBLES = sum(_TRIAL_SIZES)  # 82
 
-    Returns (weights[c], parts[2, c, 4], gaussian[2, 4, 4], angles[4]): the
-    mixture's weights and amplitude parts, the real and imaginary parts of
-    the complex Gaussian matrix whose QR gives the trial's U(4), and the
-    angles in AngleSettings order (theta1, theta2, theta1', theta2'). Trial
-    t of seed s always draws from its own generator, default_rng([s, t]).
+
+def _trial_uniforms(seed, first, count):
+    """Rows first .. first + count - 1 of the seed's uniform table, one row per trial.
+
+    The table is np.random.Generator(np.random.PCG64(seed)).random((trials,
+    _TRIAL_DOUBLES)). Each double takes exactly one 64-bit output of the
+    bit generator, so advancing it by first * _TRIAL_DOUBLES outputs
+    starts the draw at row ``first``, whatever the trial count.
     """
-    rng = np.random.default_rng([seed, trial])
-    weights, parts = _mixture_draws(rng, amplitude_scale=amplitude_scale)
-    gaussian = rng.normal(size=(2, 4, 4))
-    angles = rng.uniform(0.0, math.pi, size=4)
-    return weights, parts, gaussian, angles
+    # advance would take a negative row from the far end of the period
+    if first < 0:
+        raise ValueError(f"trial must not be negative, got {first}")
+    bits = np.random.PCG64(seed)
+    bits.advance(first * _TRIAL_DOUBLES)
+    return np.random.Generator(bits).random((count, _TRIAL_DOUBLES))
+
+
+def _trials_from_uniforms(uniforms, amplitude_scale=2.0):
+    """The trials of uniform rows [trial, _TRIAL_DOUBLES]: mixtures, Gaussian matrices, angles.
+
+    Returns (counts[trial], weights[trial, component], components[trial,
+    component, 4], gaussians[trial, 4, 4], angles[trial, 4]): the Gaussian
+    matrix whose QR gives the trial's U(4) (see :func:`_haar_from_gaussian`)
+    and the angles in AngleSettings order (theta1, theta2, theta1',
+    theta2'). Every trial is padded to _MAX_COMPONENTS components, with
+    zero weights past its count. Each quantity is an inverse-transform draw
+    from its uniforms: the count 1 + floor(5u); flat Dirichlet weights,
+    normalized exponentials -log1p(-u); amplitude parts uniform on
+    [-amplitude_scale, amplitude_scale); standard complex Gaussians
+    sqrt(-log1p(-u1)) exp(2 pi i u2); angles pi u on [0, pi).
+    """
+    rows = uniforms.shape[0]
+    count, weights, parts, gaussians, angles = np.split(
+        uniforms, np.cumsum(_TRIAL_SIZES)[:-1], axis=1
+    )
+    counts = 1 + np.floor(_MAX_COMPONENTS * count[:, 0]).astype(np.intp)
+    weights = -np.log1p(-weights)
+    weights[np.arange(_MAX_COMPONENTS) >= counts[:, None]] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    parts = amplitude_scale * (2.0 * parts - 1.0)
+    components = _complex(np.moveaxis(parts.reshape(rows, 2, _MAX_COMPONENTS, 4), 1, 0))
+    moduli, phases = np.moveaxis(gaussians.reshape(rows, 2, 4, 4), 1, 0)
+    gaussians = np.sqrt(-np.log1p(-moduli)) * np.exp(2j * math.pi * phases)
+    return counts, weights, components, gaussians, math.pi * angles
 
 
 def nonviolation_trial(seed, trial, policy=DEFAULT_POLICY, amplitude_scale=2.0):
-    """One seeded trial: random mixture, random U(4), random angles."""
-    weights, parts, gaussian, angles = _trial_draws(seed, trial, amplitude_scale)
-    unitary = _haar_from_gaussian(_complex(gaussian))
-    mixture = ClassicalMixture(weights, _complex(parts)).transformed(unitary)
-    return mixture_ch(mixture, detection.AngleSettings(*angles), policy)
+    """One seeded trial of the classical suite: random mixture, random U(4), random angles.
+
+    Trial t of seed s is row t of the seed's uniform table (see
+    :func:`_trial_uniforms`), drawn on its own by advancing the bit
+    generator to that row, so it replays in O(1) whatever the trial count.
+    """
+    counts, weights, components, gaussians, angles = _trials_from_uniforms(
+        _trial_uniforms(seed, trial, 1), amplitude_scale
+    )
+    count = counts[0]
+    mixture = ClassicalMixture(weights[0, :count], components[0, :count])
+    mixture = mixture.transformed(_haar_from_gaussian(gaussians[0]))
+    return mixture_ch(mixture, detection.AngleSettings(*angles[0]), policy)
 
 
 def classical_nonviolation_suite(seed, trials, policy=DEFAULT_POLICY):
@@ -188,34 +219,24 @@ def classical_nonviolation_suite(seed, trials, policy=DEFAULT_POLICY):
 
     Each trial draws a random mixture, scrambles it with a Haar-random
     passive U(4), draws four random angles, and evaluates the CH report
-    with the closed forms. Trial t draws exactly what
-    ``nonviolation_trial(seed, t)`` draws, so a failing trial's
-    (seed, trial) pair is reported and can be replayed. Only the draws are
-    made trial by trial, into preallocated stacks; everything else runs
-    once over the stack: one QR, one table evaluation (the mixtures padded
-    with zero weights to a common length) and one stacked verdict. The
-    draws are not checked as a ClassicalMixture would check them: the
-    generator's finite amplitudes and angles and normalized weights cannot
+    with the closed forms. All trials come from one draw: trial t is row t
+    of the seed's uniform table np.random.Generator(np.random.PCG64(seed))
+    .random((trials, 82)), which :func:`_trials_from_uniforms` turns into
+    the trial's quantities. ``nonviolation_trial(seed, t)`` draws that row
+    alone, so a failing trial's (seed, trial) pair is reported and can be
+    replayed. The transforms give flat Dirichlet weights, box-uniform
+    amplitudes, Haar-random U(4)s and uniform angles. Everything runs once
+    over the stack: one QR, one table evaluation (the mixtures padded with
+    zero weights to five components) and one stacked verdict. The draws
+    are not checked as a ClassicalMixture would check them: the finite
+    amplitudes and angles and normalized weights of the transforms cannot
     fail those checks, and a weight drawn as exactly 0 adds nothing.
     """
     if trials == 0:
         return SuiteReport(trials, 0, 0.0, 0.0, None)
-    counts = np.empty(trials, dtype=np.intp)
-    weights = np.zeros((trials, _MAX_COMPONENTS))
-    parts = np.zeros((2, trials, _MAX_COMPONENTS, 4))
-    gaussians = np.empty((2, trials, 4, 4))
-    angles = np.empty((trials, 4))
-    for t in range(trials):
-        w, trial_parts, gaussians[:, t], angles[t] = _trial_draws(seed, t)
-        counts[t] = w.size
-        weights[t, : w.size] = w
-        parts[:, t, : w.size] = trial_parts
-    width = int(counts.max())
-    weights, components = weights[:, :width], _complex(parts[:, :, :width])
-    gaussians = _complex(gaussians)
-    del parts  # before the QR, whose work sets the suite's peak memory
-    angles = angles % math.pi  # as AngleSettings folds them
-
+    uniforms = _trial_uniforms(seed, 0, trials)
+    _, weights, components, gaussians, angles = _trials_from_uniforms(uniforms)
+    del uniforms  # before the QR, whose work sets the suite's peak memory
     components = components @ np.swapaxes(_haar_from_gaussian(gaussians), -1, -2)
     tables = rate_tables(weights, components, angles[:, [0, 2]], angles[:, [1, 3]])
     stack = detection.ch_verdicts(tables, 0.0, policy)

@@ -24,15 +24,6 @@ def announce(capsys, number, label, ok):
         print(f"criterion {number:2d} ({label}): {'PASS' if ok else 'FAIL'}")
 
 
-def classical_trial_inputs(seed, trial, amplitude_scale):
-    # replays the documented sampling recipe of nonviolation_trial
-    rng = np.random.default_rng([seed, trial])
-    mixture = states.random_mixture(rng, amplitude_scale=amplitude_scale)
-    mixture = mixture.transformed(states.haar_unitary(rng))
-    angles = AngleSettings(*rng.uniform(0.0, np.pi, size=4))
-    return mixture, angles
-
-
 def test_criterion_01_classical_nonviolation(capsys):
     started = time.time()
     suite = coherent.classical_nonviolation_suite(seed=SEED, trials=1000)
@@ -42,7 +33,7 @@ def test_criterion_01_classical_nonviolation(capsys):
     # narrower amplitude box so a cutoff of 16 carries a negligible tail
     worst_gap = 0.0
     for trial in range(50):
-        mixture, angles = classical_trial_inputs(SEED, trial, 0.5)
+        mixture, angles = states.classical_trial_inputs(SEED, trial, 0.5)
         closed = coherent.mixture_ch(mixture, angles)
         replay = coherent.nonviolation_trial(SEED, trial, amplitude_scale=0.5)
         assert closed.f == replay.f

@@ -485,8 +485,16 @@ def test_validate_with_no_trials_warns(capsys):
     assert "classical" in err.lower()
 
 
+def test_validate_with_no_trials_prints_a_refused_setting_alone(capsys):
+    # the trials = 0 warning comes after the checks, so the error is the only line
+    code, out, err = run_cli(["validate", "--trials", "0", "--cutoff", "1000000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: basis dimension") and len(err.splitlines()) == 1
+
+
 def test_validate_prints_the_seeded_numbers(capsys):
-    # the per-(seed, trial) draws, the replica and both engines' tables pin these
+    # the seed's uniform table, the replica and both engines' tables pin these
     code, out, _ = run_cli(["validate", "--trials", "1000", "--seed", "944904"], capsys)
     assert code == 0
     lines = out.splitlines()
@@ -494,8 +502,8 @@ def test_validate_prints_the_seeded_numbers(capsys):
         "cross-engine rates (cutoff 16): worst gap 4.178e-10 (tol 1.0e-06) -> pass" in lines
     )
     assert (
-        "classical nonviolation (1000 trials): violations 0, worst f -5.109e-03, "
-        "worst lower margin 2.604e-02 -> pass"
+        "classical nonviolation (1000 trials): violations 0, worst f -1.806e-03, "
+        "worst lower margin 1.978e-02 -> pass"
     ) in lines
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import states
 from bellsim import coherent, detection, fock
@@ -194,11 +195,49 @@ def test_mixture_draws_replay_the_flat_dirichlet(seed):
     # documented rng.dirichlet(np.ones(count)) draw bit for bit, and leave
     # the generator where dirichlet leaves it
     for trial in range(700):
-        weights, parts = coherent._mixture_draws(np.random.default_rng([seed, trial]))
+        weights, parts = states._mixture_draws(np.random.default_rng([seed, trial]))
         rng = np.random.default_rng([seed, trial])
         count = int(rng.integers(1, coherent._MAX_COMPONENTS + 1))
         assert np.array_equal(weights, rng.dirichlet(np.ones(count)))
         assert np.array_equal(parts, rng.uniform(-2.0, 2.0, size=(2, count, 4)))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2026, 2**63 + 5])
+def test_one_trial_replays_its_row_of_the_batch(seed):
+    # advancing the bit generator by t rows must land on row t of one draw
+    table = np.random.Generator(np.random.PCG64(seed)).random((300, coherent._TRIAL_DOUBLES))
+    batch = coherent._trial_uniforms(seed, 0, 300)
+    assert np.array_equal(batch, table)
+    for trial in (0, 1, 299):
+        replay = coherent._trial_uniforms(seed, trial, 1)
+        assert np.array_equal(replay[0], table[trial])
+    with pytest.raises(ValueError, match="negative"):
+        coherent.nonviolation_trial(seed, -1)
+
+
+def test_trial_draws_are_well_formed_and_distributed_as_documented():
+    counts, weights, components, gaussians, angles = coherent._trials_from_uniforms(
+        coherent._trial_uniforms(5, 0, 1000)
+    )
+    assert set(counts) == {1, 2, 3, 4, 5}
+    assert np.all(weights >= 0.0)
+    assert np.max(np.abs(weights.sum(axis=1) - 1.0)) <= 1e-15
+    assert np.all(weights[np.arange(5) >= counts[:, None]] == 0.0)
+    assert np.all((angles >= 0.0) & (angles < np.pi))
+    unitaries = coherent._haar_from_gaussian(gaussians)
+    products = unitaries @ np.swapaxes(unitaries, -1, -2).conj()
+    assert np.max(np.abs(products - np.eye(4))) <= 1e-12
+    # each quantity against its law: the first flat-Dirichlet weight of three
+    # is Beta(1, 2), |U_00|^2 of a Haar U(4) is Beta(1, 3), and the real
+    # amplitude parts and the angles are uniform
+    laws = [
+        (weights[counts == 3, 0], lambda x: 1.0 - (1.0 - x) ** 2),
+        (np.abs(unitaries[:, 0, 0]) ** 2, lambda x: 1.0 - (1.0 - x) ** 3),
+        ((components.real.ravel() + 2.0) / 4.0, lambda x: x),
+        (angles.ravel() / np.pi, lambda x: x),
+    ]
+    for sample, cdf in laws:
+        assert stats.kstest(sample, cdf).pvalue > 1e-3
 
 
 def test_classical_suite_small_run():
@@ -212,9 +251,7 @@ def test_classical_suite_small_run():
 
 def reference_trial(seed, trial):
     """Trial ``trial`` of the suite, replayed from its recipe with pointwise rates."""
-    rng = np.random.default_rng([seed, trial])
-    mixture = states.random_mixture(rng).transformed(states.haar_unitary(rng))
-    angles = AngleSettings(*rng.uniform(0.0, np.pi, size=4))
+    mixture, angles = states.classical_trial_inputs(seed, trial)
     t1, t2, t1a, t2a = dataclasses.astuple(angles)
 
     def rate(a, b):
