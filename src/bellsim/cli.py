@@ -641,7 +641,7 @@ _ENGINE = _Field("engine", "--engine", _read_engine, None, dict(choices=_ENGINES
 _STATE = _Field("state", "--state", _normalize_state, None, dict(help="state kind or JSON object"))
 _CUTOFF = _Field("cutoff", "--cutoff", _int_at_least(1, "cutoff must be at least 1"), 16,
                  dict(type=int, help="total-photon cutoff (default 16)"))
-_SEED = _Field("seed", "--seed", _as_int, 0,
+_SEED = _Field("seed", "--seed", _int_at_least(0, "seed must not be negative"), 0,
                dict(type=int, help="seed for random draws (default 0)"))
 _OUT = _Field("out", "--out", _expect((str, type(None)), "a path"), None,
               dict(help="output path (default stdout)"))

@@ -54,7 +54,8 @@ def canonical_angle(theta):
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"angle {theta} is not finite")
-    return theta % math.pi
+    folded = theta % math.pi
+    return 0.0 if folded == math.pi else folded  # a tiny negative theta rounds up to pi
 
 
 @dataclass(frozen=True)
@@ -131,30 +132,20 @@ def _beam_blocks(state):
     """A Fock state as (weights, pairs, blocks): its occupied beam-pair blocks.
 
     blocks[r, p, k, l] is the amplitude of |k, N1 - k, l, N2 - l> in the
-    r-th pure component, with (N1, N2) = pairs[p], and zero where k > N1 or
-    l > N2. Only the pairs a state can occupy are listed: N1 + N2 <= cutoff
-    for a state on a basis, at index N1 * side - N1 (N1 - 1) / 2 + N2, and
-    N1 = N2 for a :class:`BeamBlockState`. A pure state is its own single
-    component of weight 1, a mixed state brings its components, and a
-    density operator enters through its eigen-decomposition rho =
-    sum_r weights[r] |psi_r><psi_r|, with signed eigenvalues, so every
-    marginal is the same weighted sum. Eigenvalues within rounding of zero
-    (up to dim * eps * max|lambda|) are dropped, so a rank-r operator
-    brings r components.
+    r-th weighted component of the state (see ``components()`` of the
+    states in :mod:`fock`; a density operator's are its signed
+    eigen-decomposition), with (N1, N2) = pairs[p], and zero where k > N1
+    or l > N2, so every marginal is the same weighted sum. Only the pairs a
+    state can occupy are listed: N1 + N2 <= cutoff for a state on a basis,
+    at index N1 * side - N1 (N1 - 1) / 2 + N2, and N1 = N2 for a
+    :class:`BeamBlockState`, which is its own single component.
     """
     if isinstance(state, BeamBlockState):
         photons = np.arange(state.blocks.shape[0])
         return np.ones(1), np.stack([photons, photons], axis=1), state.blocks[None]
     if state.mode_count != 4:
         raise ValueError("coincidence rates are defined on four-mode states")
-    if isinstance(state, OccupationState):
-        weights, vectors = np.ones(1), state.amplitudes[None, :]
-    elif isinstance(state, MixedState):
-        weights, vectors = state.weights, state.amplitudes
-    else:
-        weights, columns = np.linalg.eigh(state.matrix)
-        rank = np.abs(weights) > weights.size * np.finfo(np.float64).eps * np.abs(weights).max()
-        weights, vectors = weights[rank], columns[:, rank].T
+    weights, vectors = state.components()
     side = state.cutoff + 1
     pairs = np.array([(n1, n2) for n1 in range(side) for n2 in range(side - n1)])
     occ = state.basis.occupations

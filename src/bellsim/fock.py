@@ -24,8 +24,9 @@ DENSITY_TOL = 1e-10
 
 def _compositions(total, parts):
     """Yield occupation tuples with the given sum, lexicographically."""
-    if parts == 1:
-        yield (total,)
+    if parts < 2:  # zero parts make only the empty occupation, of sum 0
+        if parts or not total:
+            yield (total,) * parts
         return
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
@@ -48,6 +49,16 @@ class FockBasis:
     def index_of(self, occupation):
         return self.index[tuple(int(n) for n in occupation)]
 
+    def split(self, keep):
+        """This basis as the modes in ``keep``, in that order, x the other modes.
+
+        Returns (kept, rest, kept_index, rest_index): the bases of the two
+        groups at this cutoff, and the index in each of every state's
+        occupations of that group. With no other modes, ``rest`` holds the
+        one empty occupation.
+        """
+        return _split(self.mode_count, self.cutoff, tuple(keep))
+
 
 @lru_cache(maxsize=None)
 def _build_basis(mode_count, cutoff):
@@ -58,6 +69,20 @@ def _build_basis(mode_count, cutoff):
     occ.setflags(write=False)
     index = {row: i for i, row in enumerate(rows)}
     return FockBasis(mode_count=mode_count, cutoff=cutoff, occupations=occ, index=index)
+
+
+@lru_cache(maxsize=None)
+def _split(mode_count, cutoff, keep):
+    occ = _build_basis(mode_count, cutoff).occupations
+    groups = keep, [m for m in range(mode_count) if m not in keep]
+    bases = [_build_basis(len(modes), cutoff) for modes in groups]
+    indices = [
+        np.array([part.index[tuple(row)] for row in occ[:, modes].tolist()], dtype=np.intp)
+        for part, modes in zip(bases, groups)
+    ]
+    for idx in indices:
+        idx.setflags(write=False)  # cached, so shared by every caller
+    return (*bases, *indices)
 
 
 def check_dimension(mode_count, cutoff, policy=DEFAULT_POLICY):
@@ -87,7 +112,12 @@ def enumerate_basis(mode_count, cutoff, policy=DEFAULT_POLICY):
 
 
 class _OnBasis:
-    """The shape of a state over a truncated Fock basis."""
+    """A state over a truncated Fock basis, seen as its weighted components.
+
+    ``components()`` returns (weights, vectors): the state is
+    sum_r weights[r] |vectors[r]><vectors[r]|, each vector in the basis
+    order. Every operation on a state of any of these types goes through it.
+    """
 
     @property
     def mode_count(self):
@@ -96,6 +126,11 @@ class _OnBasis:
     @property
     def cutoff(self):
         return self.basis.cutoff
+
+    def to_density_operator(self):
+        weights, vectors = self.components()
+        matrix = (vectors.T * weights) @ vectors.conj()
+        return DensityOperator(self.basis, matrix, self.truncation_tail)
 
 
 @dataclass(frozen=True)
@@ -118,12 +153,8 @@ class OccupationState(_OnBasis):
                 f"expected ({self.basis.size},)"
             )
 
-    def to_density_operator(self):
-        return DensityOperator(
-            self.basis,
-            np.outer(self.amplitudes, self.amplitudes.conj()),
-            self.truncation_tail,
-        )
+    def components(self):
+        return np.ones(1), self.amplitudes[None]
 
 
 @dataclass(frozen=True)
@@ -146,9 +177,8 @@ class MixedState(_OnBasis):
                 f"expected ({self.weights.size}, {self.basis.size})"
             )
 
-    def to_density_operator(self):
-        weighted = self.amplitudes.T * self.weights
-        return DensityOperator(self.basis, weighted @ self.amplitudes.conj(), self.truncation_tail)
+    def components(self):
+        return self.weights, self.amplitudes
 
 
 @dataclass(frozen=True)
@@ -156,7 +186,9 @@ class DensityOperator(_OnBasis):
     """Density operator over a truncated Fock basis.
 
     Hermiticity and unit trace are enforced at construction; positivity is
-    not checked, since it would cost a full diagonalization.
+    not checked, since it would cost a full diagonalization. Its components
+    are its eigen-decomposition (see :meth:`components`), so every
+    operation takes it as it takes a mixed state.
     """
 
     basis: FockBasis
@@ -173,6 +205,19 @@ class DensityOperator(_OnBasis):
         tr = complex(np.trace(self.matrix))
         if abs(tr - 1.0) > DENSITY_TOL + self.truncation_tail:
             raise ValueError(f"trace is {tr}, expected 1")
+
+    def components(self):
+        """The signed eigen-decomposition rho = sum_r weights[r] |v_r><v_r|.
+
+        Eigenvalues within rounding of zero (up to dim * eps * max|lambda|)
+        are dropped, so a rank-r operator has r components.
+        """
+        weights, columns = np.linalg.eigh(self.matrix)
+        rank = np.abs(weights) > weights.size * np.finfo(np.float64).eps * np.abs(weights).max()
+        return weights[rank], columns[:, rank].T
+
+    def to_density_operator(self):
+        return self
 
 
 @dataclass(frozen=True)
@@ -287,26 +332,14 @@ def two_photon_state():
     return OccupationState(basis, amp)
 
 
-def _reduced_keys(basis, keep, traced):
-    """Row/column coordinates of every basis state in the (keep, traced) split."""
-    keep_basis = enumerate_basis(len(keep), basis.cutoff)
-    traced_basis = enumerate_basis(len(traced), basis.cutoff)
-    occ = basis.occupations
-    keep_idx = np.array(
-        [keep_basis.index[tuple(row)] for row in occ[:, keep]], dtype=np.int64
-    )
-    traced_idx = np.array(
-        [traced_basis.index[tuple(row)] for row in occ[:, traced]], dtype=np.int64
-    )
-    return keep_basis, traced_basis, keep_idx, traced_idx
-
-
 def partial_trace(state, keep):
     """Trace out every mode not listed in ``keep``.
 
-    Accepts a pure state, a mixed state or a density operator and returns
-    a DensityOperator over the kept modes (ascending order, same cutoff).
-    The trace is preserved exactly up to rounding.
+    Takes any state on a basis by its weighted components and returns the
+    DensityOperator sum_r w_r B_r B_r^dagger over the kept modes (ascending
+    order, same cutoff), where B_r[k, t] is the amplitude of component r
+    with kept occupation k and traced occupation t (see
+    :meth:`FockBasis.split`). The trace is preserved exactly up to rounding.
     """
     basis = state.basis
     keep = sorted(set(int(m) for m in keep))
@@ -314,27 +347,10 @@ def partial_trace(state, keep):
         raise ValueError("keep set is empty")
     if keep[0] < 0 or keep[-1] >= basis.mode_count:
         raise ValueError(f"keep modes {keep} out of range")
-    traced = [m for m in range(basis.mode_count) if m not in keep]
-    if not traced:
-        return state if isinstance(state, DensityOperator) else state.to_density_operator()
-
-    keep_basis, traced_basis, keep_idx, traced_idx = _reduced_keys(basis, keep, traced)
-
-    if isinstance(state, (OccupationState, MixedState)):
-        # rho_red = sum_r w_r B_r B_r^dagger where B_r[k, t] is the amplitude of
-        # (k, t) in component r; a pure state is one component of weight 1
-        vectors = state.amplitudes.reshape(-1, basis.size)
-        block = np.zeros((keep_basis.size, len(vectors), traced_basis.size), dtype=np.complex128)
-        block[keep_idx, :, traced_idx] = vectors.T
-        weighted = block * getattr(state, "weights", np.ones(1))[:, None]
-        reduced = weighted.reshape(len(block), -1) @ block.reshape(len(block), -1).conj().T
-    else:
-        reduced = np.zeros((keep_basis.size, keep_basis.size), dtype=np.complex128)
-        for t in range(traced_basis.size):
-            members = np.nonzero(traced_idx == t)[0]
-            if members.size == 0:
-                continue
-            rows = keep_idx[members]
-            reduced[np.ix_(rows, rows)] += state.matrix[np.ix_(members, members)]
-
-    return DensityOperator(keep_basis, reduced, state.truncation_tail)
+    kept, traced, kept_idx, traced_idx = basis.split(keep)
+    weights, vectors = state.components()
+    block = np.zeros((kept.size, weights.size, traced.size), dtype=np.complex128)
+    block[kept_idx, :, traced_idx] = vectors.T
+    weighted = block * weights[:, None]
+    reduced = weighted.reshape(kept.size, -1) @ block.reshape(kept.size, -1).conj().T
+    return DensityOperator(kept, reduced, state.truncation_tail)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityOperator, MixedState, OccupationState, enumerate_basis
+from .fock import DensityOperator, MixedState
 
 # largest residual a unitarity (U^dag U = I) or symplectic check accepts
 UNITARITY_TOL = 1e-10
@@ -106,33 +106,6 @@ def beam_wiring():
 
 
 @lru_cache(maxsize=None)
-def _pair_layout(mode_count, cutoff, i, j):
-    """Index arrays grouping basis states by everything but a mode pair.
-
-    Returns a list indexed by the pair total t; entry t is an integer array
-    of shape (groups, t + 1) whose [g, m] element is the basis index of the
-    group member with m photons in mode i (and t - m in mode j).
-    """
-    basis = enumerate_basis(mode_count, cutoff)
-    occ = basis.occupations
-    m = occ[:, i]
-    t = occ[:, i] + occ[:, j]
-    rest = np.delete(occ, (i, j), axis=1)
-    keys = [m] + [rest[:, k] for k in range(rest.shape[1] - 1, -1, -1)] + [t]
-    order = np.lexsort(keys)
-    layout = []
-    pos = 0
-    sorted_t = t[order]
-    for total in range(cutoff + 1):
-        count = int(np.sum(sorted_t == total))
-        groups = count // (total + 1)
-        block = order[pos : pos + count].reshape(groups, total + 1)
-        layout.append(block)
-        pos += count
-    return layout
-
-
-@lru_cache(maxsize=None)
 def _shell_steps(top, columns):
     """Constants of one :func:`su2_shells` step: (pick, scale, rows, cols).
 
@@ -180,36 +153,34 @@ def su2_shells(u, top, columns=None):
     return shells if u.ndim == 3 else shells[:, 0]
 
 
-def _apply_decomposed(amplitudes, basis, phases, mixers):
-    factor = np.exp(1j * (basis.occupations @ phases))
-    out = amplitudes * (factor[:, None] if amplitudes.ndim == 2 else factor)
-    for (i, j), u in mixers:
-        layout = _pair_layout(basis.mode_count, basis.cutoff, i, j)
-        shells = su2_shells(u, basis.cutoff)
-        mixed = np.empty_like(out)
-        for total, block_idx in enumerate(layout):
-            block = shells[total, : total + 1, : total + 1]
-            mixed[block_idx] = np.einsum("nm,gm...->gn...", block, out[block_idx])
-        out = mixed
-    return out
-
-
 def apply_passive(state, matrix):
-    """Apply a passive unitary to a pure state, mixed state or density operator.
+    """Apply a passive unitary to any state on a basis.
 
-    Photon number is conserved, so the action is exact within every
-    total-photon shell and the truncation tail is unchanged. A mixed state
-    maps component by component and keeps its weights.
+    The state's weighted components move and keep their weights. The
+    phases multiply every amplitude; each mixer (i, j) then lays every
+    vector out as a (pair x rest) grid by the basis split (see
+    :meth:`fock.FockBasis.split`) and multiplies shell N of the pair by its
+    :func:`su2_shells` block. Photon number is conserved, so the action is
+    exact within every total-photon shell and the truncation tail is
+    unchanged. A pure or mixed state comes back with moved amplitudes, and
+    a density operator as the density operator of its moved components.
     """
     phases, mixers = decompose_passive(matrix)  # checks that the matrix is unitary
     if phases.size != state.mode_count:
         raise ValueError(f"matrix acts on {phases.size} modes, state has {state.mode_count}")
-    if isinstance(state, (OccupationState, MixedState)):
-        amp = _apply_decomposed(state.amplitudes.T, state.basis, phases, mixers).T
-        return dataclasses.replace(state, amplitudes=amp)
-    half = _apply_decomposed(state.matrix, state.basis, phases, mixers)
-    full = _apply_decomposed(half.conj().T, state.basis, phases, mixers).conj().T
-    # rounding can leave a ~1e-16 hermiticity residual; symmetrize it away
-    full = 0.5 * (full + full.conj().T)
-    return DensityOperator(state.basis, full, state.truncation_tail)
-
+    basis = state.basis
+    weights, vectors = state.components()
+    vectors = vectors * np.exp(1j * (basis.occupations @ phases))
+    for (i, j), u in mixers:
+        pair, rest, pair_idx, rest_idx = basis.split((i, j))
+        grid = np.zeros((pair.size, weights.size, rest.size), dtype=np.complex128)
+        grid[pair_idx, :, rest_idx] = vectors.T
+        rows = grid.reshape(pair.size, -1)
+        for total, shell in enumerate(su2_shells(u, basis.cutoff)):
+            start = total * (total + 1) // 2  # |m, total - m> is pair state start + m
+            block = rows[start : start + total + 1]
+            block[...] = shell[: total + 1, : total + 1] @ block
+        vectors = grid[pair_idx, :, rest_idx].T
+    if isinstance(state, DensityOperator):
+        return MixedState(basis, weights, vectors, state.truncation_tail).to_density_operator()
+    return dataclasses.replace(state, amplitudes=vectors.reshape(state.amplitudes.shape))

@@ -83,6 +83,20 @@ def test_run_without_angles_uses_the_seed(capsys):
     assert out1 != out3
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["run", "--state", "two_photon", "--seed", "-1"], None),
+    (["validate", "--seed", "-3"], None),
+    # refused even where fixed angles leave the seed unused
+    (["run", "--state", "two_photon", "--angles", "0,0,0,0"], {"seed": -2}),
+], ids=["run", "validate", "config"])
+def test_a_negative_seed_is_one_error_line_naming_it(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert run_cli(argv, capsys) == (1, "", "error: seed must not be negative\n")
+
+
 def test_run_inconclusive_exit_code(tmp_path, capsys):
     # an enormous verdict tolerance forces every broken bound into the
     # inconclusive band, which maps to exit code 2

@@ -24,6 +24,11 @@ def test_canonical_angle_wraps_to_half_turn():
     assert detection.canonical_angle(0.0) == 0.0
     assert abs(detection.canonical_angle(np.pi + 0.3) - 0.3) < 1e-15
     assert abs(detection.canonical_angle(-0.2) - (np.pi - 0.2)) < 1e-15
+    # x % pi is pi itself for a negative x nearer 0 than half an ulp of pi
+    for tiny in (-1e-17, -1e-16, -5e-324, -0.0):
+        folded = detection.canonical_angle(tiny)
+        assert folded == 0.0 and math.copysign(1.0, folded) == 1.0, (tiny, folded)
+    assert AngleSettings(-1e-17, 0.3, 0.5, 0.7).theta1 == 0.0
 
 
 def test_angle_settings_canonicalize():

@@ -156,7 +156,8 @@ def test_apply_passive_moves_coherent_amplitudes():
 
 def test_a_mixed_state_maps_and_traces_like_its_density_operator():
     # apply_passive and partial_trace take a MixedState component by
-    # component; its density operator sum_r w_r |v_r><v_r| takes the dense paths
+    # component, and its density operator sum_r w_r |v_r><v_r| by its
+    # eigen-decomposition; the next test checks that against the dense oracle
     mixed = fock.synthesize_coherent_mixture(
         [0.4, 0.6], [[0.3, 0.1, 0.2, 0], [0.1, 0.2, 0, 0.3]], 6
     )
@@ -185,6 +186,42 @@ def test_a_mixed_state_maps_and_traces_like_its_density_operator():
     want = detection.state_tables(moved_rho)[0](thetas, thetas)
     for table, reference in zip(got, want):
         assert np.max(np.abs(table - reference)) < 1e-12
+
+
+def embedding(basis, cap):
+    """E[dense, graded] = 1 where both index the same occupation, mode 0 slowest."""
+    out = np.zeros(((cap + 1) ** basis.mode_count, basis.size))
+    for idx, occ in enumerate(basis.occupations):
+        out[oracle.dense_index(tuple(occ), cap), idx] = 1.0
+    return out
+
+
+def test_a_density_operator_maps_and_traces_like_the_dense_oracle():
+    # rank 3 with a negative eigenvalue: every signed component must move
+    rng = np.random.default_rng(13)
+    cutoff, modes = 3, 4
+    basis = fock.enumerate_basis(modes, cutoff)
+    raw = rng.normal(size=(basis.size, 3)) + 1j * rng.normal(size=(basis.size, 3))
+    vectors = np.linalg.qr(raw)[0]
+    weights = np.array([0.7, 0.5, -0.2])
+    rho = fock.DensityOperator(basis, (vectors * weights) @ vectors.conj().T)
+    u = states.haar_unitary(rng, modes)
+    moved = linear_optics.apply_passive(rho, u)
+    assert isinstance(moved, fock.DensityOperator)
+    e = embedding(basis, cutoff)
+    dense_op = oracle.passive_op(u, cutoff)
+    dense = dense_op @ (e @ rho.matrix @ e.T) @ dense_op.conj().T
+    assert np.max(np.abs(e @ moved.matrix @ e.T - dense)) < 1e-12
+    tensor = dense.reshape((cutoff + 1,) * (2 * modes))
+    letters = "abcdefgh"
+    for keep in [(0, 1), (1, 3), (2,), (0, 1, 2, 3)]:
+        rows = letters[:modes]
+        cols = "".join(letters[modes + m] if m in keep else rows[m] for m in range(modes))
+        kept = "".join(rows[m] for m in keep) + "".join(cols[m] for m in keep)
+        want = np.einsum(f"{rows}{cols}->{kept}", tensor).reshape((cutoff + 1) ** len(keep), -1)
+        got = fock.partial_trace(moved, keep)
+        e_kept = embedding(got.basis, cutoff)
+        assert np.max(np.abs(e_kept @ got.matrix @ e_kept.T - want)) < 1e-12
 
 
 def test_diagonal_unitary_becomes_phases():
