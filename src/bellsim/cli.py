@@ -3,6 +3,10 @@
 Configuration comes from an optional JSON file plus command line flags;
 flags win. All randomness is seeded, and CSV output is formatted with 17
 significant digits so identical configurations produce identical bytes.
+
+A command writes nothing: it returns (exit code, stdout lines, --out lines,
+stderr lines), and `main` alone writes them once the command has finished,
+so a command that fails leaves only its error line.
 """
 
 from __future__ import annotations
@@ -419,78 +423,64 @@ def _format(value):
 
 _ANGLES_LINE = "theta1=%.6f theta2=%.6f theta1'=%.6f theta2'=%.6f"
 
-
-def _print_report(report, label=None):
-    if label:
-        print(label)
-    print("angles: " + _ANGLES_LINE % dataclasses.astuple(report.angles))
-    print(
-        "P(t1,t2)=%.12f  P(t1,t2')=%.12f  P(t1',t2)=%.12f  P(t1',t2')=%.12f"
-        % (report.p_tt, report.p_t_talt, report.p_talt_t, report.p_talt_talt)
-    )
-    print(
-        "P(t1,any)=%.12f  P(t1',any)=%.12f  P(any,t2)=%.12f  P(any,any)=%.12f"
-        % (report.p_t_any, report.p_talt_any, report.p_any_t, report.p_any_any)
-    )
-    print(
-        "f = %.12f   margins: lower=%.3e upper=%.3e   tail=%.1e"
-        % (report.f, report.lower_margin, report.upper_margin, report.tail_err)
-    )
-    print(f"verdict: {report.verdict}")
-
-
-def _write_lines(path, lines):
-    if path is None:
-        sys.stdout.write("".join(lines))
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("".join(lines))
-
-
 _REPORT_CSV_FIELDS = (
     "p_tt", "p_t_talt", "p_talt_t", "p_talt_talt", "p_t_any", "p_talt_any", "p_any_t",
     "p_any_any", "f", "lower_margin", "upper_margin", "tail_err",
 )
 
+# the angles, the numbers of _REPORT_CSV_FIELDS in their order, and the verdict
+_REPORT_TEXT = (
+    "angles: " + _ANGLES_LINE + "\n"
+    "P(t1,t2)=%.12f  P(t1,t2')=%.12f  P(t1',t2)=%.12f  P(t1',t2')=%.12f\n"
+    "P(t1,any)=%.12f  P(t1',any)=%.12f  P(any,t2)=%.12f  P(any,any)=%.12f\n"
+    "f = %.12f   margins: lower=%.3e upper=%.3e   tail=%.1e\n"
+    "verdict: %s"
+)
+
+
+def _report_values(report):
+    """The report's four angles and the twelve numbers of _REPORT_CSV_FIELDS."""
+    numbers = tuple(getattr(report, name) for name in _REPORT_CSV_FIELDS)
+    return dataclasses.astuple(report.angles) + numbers
+
+
+def _report_lines(report):
+    return (_REPORT_TEXT % (*_report_values(report), report.verdict)).split("\n")
+
 
 def _report_csv(report):
     head = ",".join(("theta1,theta2,theta1_alt,theta2_alt",) + _REPORT_CSV_FIELDS)
-    values = dataclasses.astuple(report.angles) + tuple(
-        getattr(report, name) for name in _REPORT_CSV_FIELDS
-    )
-    cells = [_format(v) for v in values] + [report.verdict]
-    return [head + ",verdict\n", ",".join(cells) + "\n"]
+    cells = [_format(v) for v in _report_values(report)] + [report.verdict]
+    return [head + ",verdict", ",".join(cells)]
 
 
 def cmd_run(config):
-    """Evaluate the CH functional once and print the full report."""
+    """Evaluate the CH functional once and report it in full."""
     engine = _resolve_engine(config)
     engines = ("gaussian", "fock") if engine == "both" else (engine,)
     states = [build_state(config, name) for name in engines]
     angles = config.angles
+    lines = []
     if angles is None:
         rng = np.random.default_rng(config.seed)
         angles = detection.AngleSettings(*rng.uniform(0.0, math.pi, size=4))
+        lines.append(f"no angles given; drew random settings with seed {config.seed}")
     reports = [detection.ch_functional(state, angles, config.policy) for state in states]
-    # the CSV goes out before anything is printed, so a run that cannot
-    # write it leaves stdout empty
-    if config.out:
-        _write_lines(config.out, _report_csv(reports[0]))
-
-    if config.angles is None:
-        print(f"no angles given; drew random settings with seed {config.seed}")
     if engine == "both":
         g_report, f_report = reports
-        _print_report(g_report, label="gaussian engine:")
-        _print_report(f_report, label=f"fock engine (cutoff {config.cutoff}):")
         gap = max(
             abs(getattr(g_report, name) - getattr(f_report, name))
             for name in ("p_tt", "p_t_any", "p_any_t", "p_any_any", "f")
         )
-        print(f"largest cross-engine gap: {gap:.3e}")
+        lines += [
+            "gaussian engine:", *_report_lines(g_report),
+            f"fock engine (cutoff {config.cutoff}):", *_report_lines(f_report),
+            f"largest cross-engine gap: {gap:.3e}",
+        ]
     else:
-        _print_report(reports[0])
-    return 2 if reports[0].verdict == detection.INCONCLUSIVE else 0
+        lines += _report_lines(reports[0])
+    code = 2 if reports[0].verdict == detection.INCONCLUSIVE else 0
+    return code, lines, _report_csv(reports[0]), []
 
 
 def cmd_sweep(config):
@@ -522,14 +512,13 @@ def cmd_sweep(config):
     rows = gaussian.sweep_rows(
         u_values, sweep["scenarios"], sweep["kappas"], config.angles, config.policy
     )
-    lines = [",".join(CSV_FIELDS) + "\n"]
+    lines = [",".join(CSV_FIELDS)]
     for row in rows:
         cells = [_format(row[name]) for name in CSV_FIELDS[:-1]]
-        lines.append(",".join(cells + [str(row["violated"])]) + "\n")
-    _write_lines(config.out, lines)
+        lines.append(",".join(cells + [str(row["violated"])]))
     violated = sum(row["violated"] for row in rows)
-    print(f"swept {len(rows)} points; {violated} violated", file=sys.stderr)
-    return 0
+    note = f"swept {len(rows)} points; {violated} violated"
+    return 0, [] if config.out is not None else lines, lines, [note]
 
 
 def cmd_scan(config):
@@ -537,15 +526,23 @@ def cmd_scan(config):
     engine = _resolve_engine(config)
     if engine == "both":
         raise ConfigError("scan uses one engine at a time")
+    # each rate table holds n^2 entries, and the search takes O(n^3) time
+    limit = config.policy.max_dimension
+    if config.grid > math.isqrt(limit):
+        raise ConfigError(
+            f"scan grid of {config.grid} points per angle fills tables of {config.grid}^2 "
+            f"entries, past the configured maximum of {limit} (policy max_dimension)"
+        )
     state = build_state(config, engine)
     result = detection.angle_scan(state, grid_density=config.grid, refine=config.refine)
     report = detection.ch_functional(state, result.angles, config.policy)
-    print("best angles: " + _ANGLES_LINE % dataclasses.astuple(result.angles))
-    print(f"grid f = {result.grid_f:.12f} over {result.grid_density}^4 points")
-    if result.refined:
-        print(f"refined f = {result.f:.12f}")
-    print(f"verdict at best angles: {report.verdict}")
-    return 0
+    lines = [
+        "best angles: " + _ANGLES_LINE % dataclasses.astuple(result.angles),
+        f"grid f = {result.grid_f:.12f} over {result.grid_density}^4 points",
+        *([f"refined f = {result.f:.12f}"] if result.refined else []),
+        f"verdict at best angles: {report.verdict}",
+    ]
+    return 0, lines, [], []
 
 
 # tests lower these to prove that each comparison runs: its layer must then fail
@@ -621,13 +618,9 @@ def run_validation(seed, trials, cutoff, policy=DEFAULT_POLICY):
 
 def cmd_validate(config):
     ok, lines = run_validation(config.seed, config.trials, config.cutoff, config.policy)
-    # only after the checks ran, so that a refused setting prints its error alone
-    if config.trials == 0:
-        print("warning: trials = 0, classical suite was skipped", file=sys.stderr)
-    for line in lines:
-        print(line)
-    print("validation:", "pass" if ok else "FAIL")
-    return 0 if ok else 1
+    lines.append(f"validation: {'pass' if ok else 'FAIL'}")
+    warnings = ["warning: trials = 0, classical suite was skipped"] if config.trials == 0 else []
+    return 0 if ok else 1, lines, [], warnings
 
 
 class _Parser(argparse.ArgumentParser):
@@ -703,7 +696,13 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         config = ExperimentConfig.load(args)
-        return _COMMANDS[args.command][2](config)
+        code, out, csv, err = _COMMANDS[args.command][2](config)
+        if config.out is not None:
+            with open(config.out, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(line + "\n" for line in csv)
+        sys.stderr.writelines(line + "\n" for line in err)
+        sys.stdout.writelines(line + "\n" for line in out)
+        return code
     except (BellSimError, ValueError, OSError, MemoryError) as exc:
         # a bare MemoryError has no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import golden
 import states
 from bellsim import cli, detection, fock
 from bellsim.policy import ConfigError, NumericalPolicy
@@ -171,6 +172,13 @@ def test_a_run_that_cannot_write_its_out_prints_nothing(angles, tmp_path, capsys
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert not out_file.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--state", "vacuum", "--angles", "0,0,0,0"],
+                                  ["sweep", "--u-stop", "0.1"]])
+def test_an_empty_out_path_is_one_error_line(argv, capsys):
+    error = "error: [Errno 2] No such file or directory: ''\n"
+    assert run_cli(argv + ["--out", ""], capsys) == (1, "", error)
 
 
 def test_engine_constraints(tmp_path, capsys):
@@ -470,6 +478,22 @@ def test_the_sweep_point_limit_is_the_policy_max_dimension(limit, code, tmp_path
     assert run_cli(argv, capsys)[0] == code
 
 
+def test_the_scan_grid_is_bounded_by_the_policy_max_dimension(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"policy": {"max_dimension": 100}}))
+    argv = ["scan", "--config", str(cfg), "--state", "vacuum", "--grid"]
+    assert run_cli(argv + ["10"], capsys)[0] == 0
+
+    def unbuilt(*args):
+        raise AssertionError("the grid is refused before any state is built")
+
+    monkeypatch.setattr(cli, "build_state", unbuilt)
+    assert run_cli(argv + ["11"], capsys) == (
+        1, "", "error: scan grid of 11 points per angle fills tables of 11^2 entries, "
+        "past the configured maximum of 100 (policy max_dimension)\n"
+    )
+
+
 def test_scan_finds_the_two_photon_optimum(capsys):
     code, out, _ = run_cli(
         ["scan", "--state", "two_photon", "--grid", "8", "--refine"], capsys
@@ -500,7 +524,7 @@ def test_validate_with_no_trials_warns(capsys):
 
 
 def test_validate_with_no_trials_prints_a_refused_setting_alone(capsys):
-    # the trials = 0 warning comes after the checks, so the error is the only line
+    # nothing, the trials = 0 warning included, is written before the checks ran
     code, out, err = run_cli(["validate", "--trials", "0", "--cutoff", "1000000"], capsys)
     assert code == 1
     assert out == ""
@@ -700,6 +724,39 @@ def test_scan_prints_nothing_when_its_verdict_fails(monkeypatch, capsys):
     monkeypatch.setattr(detection, "ch_functional", broken)
     code, out, err = run_cli(["scan", "--state", "two_photon", "--grid", "4"], capsys)
     assert (code, out, err) == (1, "", "error: boom\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--state", "two_photon", "--angles", "0,1,2,3", "--out", "out.csv"],
+    ["run", "--state", "two_photon", "--out", "out.csv"],
+    ["run", "--engine", "both", *SHALLOW_REPLICA, "--out", "out.csv"],
+    ["scan", "--state", "two_photon", "--grid", "4"],
+    ["sweep", "--u-stop", "0.1", "--u-step", "0.05", "--out", "out.csv"],
+    ["sweep", "--u-stop", "0.1", "--u-step", "0.05"],
+    ["validate", "--trials", "0", "--cutoff", "6"],
+], ids=["run-out", "run-no-angles", "run-both", "scan", "sweep-out", "sweep", "validate"])
+def test_a_command_writes_nothing_before_it_returns(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    config = cli.ExperimentConfig.load(cli.build_parser().parse_args(argv))
+    code, out, csv_lines, err = cli._COMMANDS[argv[0]][2](config)
+    assert capsys.readouterr() == ("", "")
+    assert list(tmp_path.iterdir()) == []
+
+    def text(lines):
+        return "".join(line + "\n" for line in lines)
+
+    # main writes what the command returned, and nothing else
+    assert run_cli(argv, capsys) == (code, text(out), text(err))
+    assert [path.name for path in tmp_path.iterdir()] == (["out.csv"] if config.out else [])
+    if config.out:
+        assert (tmp_path / "out.csv").read_text() == text(csv_lines)
+
+
+@pytest.mark.parametrize("name", sorted(golden.CASES))
+def test_a_command_prints_the_golden_text(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the unwritable --out is a relative path
+    case = golden.CASES[name]
+    assert run_cli(case.argv, capsys) == (case.code, case.stdout, case.stderr)
 
 
 # json.dumps recurses as deep as its input, so the deep text is written by hand
@@ -1120,8 +1177,8 @@ def test_replica_refusals_are_exact_error_lines(command, state, extra, error, tm
     extra = [str(tmp_path / arg) if arg in policies else arg for arg in extra]
     verb, engine = command.split()
     argv = [verb, "--engine", engine, "--state", json.dumps(state)] + extra
-    if verb == "run":
-        argv += ["--angles", "0.39,0.79,1.18,0"]
+    # a grid of 4 stays inside max_dimension 100, so the replica is what is refused
+    argv += ["--angles", "0.39,0.79,1.18,0"] if verb == "run" else ["--grid", "4"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (1, "", error)
 
