@@ -498,15 +498,12 @@ def cmd_sweep(config):
     # counted before any list is built: the rows, and the u list, which is
     # built even with no (scenario, kappa) pair; a span that overflows in
     # steps counts as infinitely many
-    limit = config.policy.max_dimension
     pairs = len(sweep["scenarios"]) * len(sweep["kappas"])
     span = (stop - start) / step
     count = round(span) + 1 if math.isfinite(span) else math.inf
-    if count * max(pairs, 1) > limit:
-        raise ConfigError(
-            f"sweep of {count} u values x {pairs} (scenario, kappa) pairs exceeds "
-            f"the configured maximum of {limit} points (policy max_dimension)"
-        )
+    config.policy.check_size(
+        count * max(pairs, 1), f"a sweep of {count} u values x {pairs} (scenario, kappa) pairs"
+    )
     u_values = [start + i * step for i in range(count) if start + i * step <= stop + 1e-12]
 
     rows = gaussian.sweep_rows(
@@ -526,15 +523,12 @@ def cmd_scan(config):
     engine = _resolve_engine(config)
     if engine == "both":
         raise ConfigError("scan uses one engine at a time")
-    # each rate table holds n^2 entries, and the search takes O(n^3) time
-    limit = config.policy.max_dimension
-    if config.grid > math.isqrt(limit):
-        raise ConfigError(
-            f"scan grid of {config.grid} points per angle fills tables of {config.grid}^2 "
-            f"entries, past the configured maximum of {limit} (policy max_dimension)"
-        )
+    # each rate table holds n^2 entries, and the search takes O(n^3) time; a
+    # grid below 2 is left to angle_scan's own error
+    grid = config.grid
+    config.policy.check_size(max(grid, 0) ** 2, f"a scan grid of {grid} points per angle")
     state = build_state(config, engine)
-    result = detection.angle_scan(state, grid_density=config.grid, refine=config.refine)
+    result = detection.angle_scan(state, grid_density=grid, refine=config.refine)
     report = detection.ch_functional(state, result.angles, config.policy)
     lines = [
         "best angles: " + _ANGLES_LINE % dataclasses.astuple(result.angles),
@@ -589,7 +583,7 @@ def run_validation(seed, trials, cutoff, policy=DEFAULT_POLICY):
         return np.concatenate([np.diagonal(p_tt), p_t_any, p_any_t, np.atleast_1d(p_any_any)])
 
     rng = np.random.default_rng(seed)
-    worst_cross = 0.0
+    worst_cross = worst_tail = 0.0
     for u in (0.1, 0.3):
         for v in (0.1, 0.3):
             spec = gaussian.SqueezedThermalSpec(u, v, 1.0)
@@ -599,8 +593,11 @@ def run_validation(seed, trials, cutoff, policy=DEFAULT_POLICY):
             settings = rng.uniform(0.0, math.pi, size=(3, 4)) % math.pi
             gap = np.abs(compared(g_state, settings) - compared(f_state, settings))
             worst_cross = max(worst_cross, float(gap.max()))
+            worst_tail = max(worst_tail, f_state.truncation_tail)
+    # each replica rate may miss up to the replica's truncation tail
+    cross_tol = CROSS_TOL + worst_tail
     check(f"cross-engine rates (cutoff {cutoff}): worst gap {worst_cross:.3e} "
-          f"(tol {CROSS_TOL:.1e})", worst_cross <= CROSS_TOL)
+          f"(tol {cross_tol:.1e})", worst_cross <= cross_tol)
 
     if trials == 0:
         lines.append("classical nonviolation: skipped (trials = 0)")

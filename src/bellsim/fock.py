@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .policy import DEFAULT_POLICY, DimensionLimitError, TruncationTailError
+from .policy import DEFAULT_POLICY, TruncationTailError
 
 # largest hermiticity residual and trace deviation a density operator may carry
 DENSITY_TOL = 1e-10
@@ -85,29 +85,18 @@ def _split(mode_count, cutoff, keep):
     return (*bases, *indices)
 
 
-def check_dimension(mode_count, cutoff, policy=DEFAULT_POLICY):
-    """Refuse a basis shape the policy budget does not allow.
-
-    Raises DimensionLimitError if the dimension C(cutoff + mode_count,
-    mode_count) exceeds the policy budget.
-    """
-    if mode_count < 1 or cutoff < 0:
-        raise ValueError(f"invalid basis shape: {mode_count} modes, cutoff {cutoff}")
-    dim = math.comb(cutoff + mode_count, mode_count)
-    if dim > policy.max_dimension:
-        raise DimensionLimitError(
-            f"basis dimension {dim} exceeds the configured maximum "
-            f"{policy.max_dimension} ({mode_count} modes, cutoff {cutoff})"
-        )
-
-
 def enumerate_basis(mode_count, cutoff, policy=DEFAULT_POLICY):
     """Return the cached basis for ``mode_count`` modes at a total cutoff.
 
-    Checks the dimension (see :func:`check_dimension`) before enumerating
-    anything.
+    Its C(cutoff + mode_count, mode_count) states are counted against the
+    policy (see :meth:`NumericalPolicy.check_size`) before any is enumerated.
     """
-    check_dimension(mode_count, cutoff, policy)
+    if mode_count < 1 or cutoff < 0:
+        raise ValueError(f"invalid basis shape: {mode_count} modes, cutoff {cutoff}")
+    policy.check_size(
+        math.comb(cutoff + mode_count, mode_count),
+        f"a Fock basis of {mode_count} modes at cutoff {cutoff}",
+    )
     return _build_basis(mode_count, cutoff)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection
-from .fock import BeamBlockState, OccupationState, check_dimension, enumerate_basis
+from .fock import BeamBlockState, OccupationState, enumerate_basis
 from .linear_optics import UNITARITY_TOL, beam_wiring, check_unitary, entangling_unitary
 from .policy import DEFAULT_POLICY
 
@@ -288,12 +288,14 @@ def fock_replica(spec, cutoff, policy=DEFAULT_POLICY):
     t_u - t_v]] / 2, t = tanh; every amplitude sits on a state
     |k, N - k, l, N - l> with 2N <= cutoff (see :func:`_coupled_beam_blocks`).
     Returns those blocks as a BeamBlockState, which carries the weight past
-    the cutoff as its tail. The replica is refused at the basis dimension
-    where :func:`fock.enumerate_basis` would refuse its basis.
+    the cutoff as its tail. What the policy counts is those (cutoff // 2 + 1)^3
+    block entries: no basis is built.
     """
     if spec.kappa != 1.0:
         raise ValueError("only pure (kappa = 1) states have a Fock replica")
-    check_dimension(4, cutoff, policy)
+    if cutoff < 0:
+        raise ValueError(f"invalid cutoff {cutoff}")
+    policy.check_size((cutoff // 2 + 1) ** 3, f"the Fock replica at cutoff {cutoff}")
     w = _squeeze_q_exponents(spec.u, spec.v)
     for exponent in w.tolist():
         if exponent != 0.0 and abs(exponent) > policy.squeeze_limit:

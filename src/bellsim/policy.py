@@ -8,7 +8,7 @@ class BellSimError(Exception):
 
 
 class DimensionLimitError(BellSimError):
-    """The requested Fock space exceeds the configured dimension budget."""
+    """A command would allocate more entries than the policy's max_dimension."""
 
 
 class TruncationTailError(BellSimError):
@@ -48,6 +48,14 @@ class NumericalPolicy:
                 raise ValueError(
                     f"policy {field.name} must be a number >= 0, got {value!r}"
                 )
+
+    def check_size(self, entries, what):
+        """Refuse ``what``, before it is allocated, if it needs more than max_dimension entries."""
+        if entries > self.max_dimension:
+            raise DimensionLimitError(
+                f"{what} needs {entries} entries, past the configured maximum of "
+                f"{self.max_dimension} (policy max_dimension)"
+            )
 
 
 DEFAULT_POLICY = NumericalPolicy()

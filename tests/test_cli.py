@@ -448,11 +448,15 @@ def test_sweep_at_zero_squeezing_is_null(tmp_path, capsys):
     assert rows[0]["violated"] == "0"
 
 
+POLICY = "(policy max_dimension)"
+PINNED = ["--angles", "0.39,0.79,1.18,0"]
+
+
 @pytest.mark.parametrize("step, named", [
     # 1.2e9 u values: as a list of floats alone, tens of gigabytes
-    ("1e-9", "sweep of 1200000001 u values x 9 (scenario, kappa) pairs"),
+    ("1e-9", "a sweep of 1200000001 u values x 9 (scenario, kappa) pairs needs 10800000009"),
     # a step too small to count the span in
-    ("1e-320", "sweep of inf u values x 9 (scenario, kappa) pairs"),
+    ("1e-320", "a sweep of inf u values x 9 (scenario, kappa) pairs needs inf"),
 ])
 def test_a_sweep_past_the_point_limit_is_one_error_line(step, named, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
@@ -463,19 +467,52 @@ def test_a_sweep_past_the_point_limit_is_one_error_line(step, named, tmp_path, c
     finally:
         tracemalloc.stop()
     assert code == 1 and printed == ""
-    assert err.startswith(f"error: {named} exceeds the configured maximum of 2000000 points")
-    assert len(err.splitlines()) == 1
+    assert err == f"error: {named} entries, past the configured maximum of 2000000 {POLICY}\n"
     assert not out.exists()
     assert peak < 10_000_000
 
 
-@pytest.mark.parametrize("limit, code", [(72, 0), (71, 1)])
-def test_the_sweep_point_limit_is_the_policy_max_dimension(limit, code, tmp_path, capsys):
+# each limit is exactly what the allowed value needs, so the rule's bound is pinned at both sides
+@pytest.mark.parametrize("argv, limit, allowed, refused, what", [
+    # C(9 + 4, 4) = 715 basis states; C(10 + 4, 4) = 1001
+    pytest.param(["run", "--engine", "fock", "--state", "vacuum", *PINNED, "--cutoff"], 715,
+                 "9", "10", "a Fock basis of 4 modes at cutoff 10 needs 1001", id="basis"),
+    # (19 // 2 + 1)^3 = 1000 block entries; 11^3 = 1331
+    pytest.param(["run", "--engine", "fock", "--state", '{"kind": "squeezed_thermal", "u": 0.4, '
+                  '"v": 0.35}', *PINNED, "--cutoff"], 1000, "19", "20",
+                 "the Fock replica at cutoff 20 needs 1331", id="replica"),
+    # 31^2 = 961 table entries; 32^2 = 1024
+    pytest.param(["scan", "--state", "vacuum", "--grid"], 961, "31", "32",
+                 "a scan grid of 32 points per angle needs 1024", id="scan"),
+    # 111 u values x 9 (scenario, kappa) pairs = 999 points; 112 x 9 = 1008
+    pytest.param(["sweep", "--u-step", "0.01", "--u-stop"], 999, "1.1", "1.11",
+                 "a sweep of 112 u values x 9 (scenario, kappa) pairs needs 1008", id="sweep"),
+])
+def test_every_size_limit_is_one_rule(argv, limit, allowed, refused, what, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"policy": {"max_dimension": limit}}))
-    # 8 u values x 3 scenarios x 3 kappas = 72 points
-    argv = ["sweep", "--config", str(cfg), "--u-stop", "0.7", "--u-step", "0.1"]
-    assert run_cli(argv, capsys)[0] == code
+    argv = [argv[0], "--config", str(cfg), *argv[1:]]
+    assert run_cli(argv + [allowed], capsys)[0] == 0
+    assert run_cli(argv + [refused], capsys) == (
+        1, "", f"error: {what} entries, past the configured maximum of {limit} {POLICY}\n"
+    )
+
+
+def test_the_squeezed_replica_runs_past_the_old_basis_limit(capsys):
+    # C(116 + 4, 4) = 8214570 basis states, but only 59^3 block entries
+    state = json.dumps({"kind": "squeezed_thermal", "u": 1.2, "v": 1.2})
+    code, out, _ = run_cli(
+        ["run", "--engine", "both", "--cutoff", "116", "--state", state, *PINNED], capsys
+    )
+    (gap,) = [line for line in out.splitlines() if line.startswith("largest cross-engine gap")]
+    assert code == 0 and float(gap.split(":")[1]) <= 1e-6
+
+
+def test_a_negative_scan_grid_is_refused_by_the_scan_itself(capsys):
+    # a grid below 2 counts no table entries, so the scan's own check refuses it
+    assert run_cli(["scan", "--state", "two_photon", "--grid", "-5000"], capsys) == (
+        1, "", "error: grid density must be at least 2\n"
+    )
 
 
 def test_the_scan_grid_is_bounded_by_the_policy_max_dimension(tmp_path, monkeypatch, capsys):
@@ -489,7 +526,7 @@ def test_the_scan_grid_is_bounded_by_the_policy_max_dimension(tmp_path, monkeypa
 
     monkeypatch.setattr(cli, "build_state", unbuilt)
     assert run_cli(argv + ["11"], capsys) == (
-        1, "", "error: scan grid of 11 points per angle fills tables of 11^2 entries, "
+        1, "", "error: a scan grid of 11 points per angle needs 121 entries, "
         "past the configured maximum of 100 (policy max_dimension)\n"
     )
 
@@ -528,7 +565,16 @@ def test_validate_with_no_trials_prints_a_refused_setting_alone(capsys):
     code, out, err = run_cli(["validate", "--trials", "0", "--cutoff", "1000000"], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: basis dimension") and len(err.splitlines()) == 1
+    assert err.startswith("error: the Fock replica at cutoff 1000000 needs ")
+    assert len(err.splitlines()) == 1
+
+
+def test_validate_bounds_the_cross_engine_gap_by_the_replica_tail(capsys):
+    # at cutoff 6 the replicas miss up to 2.4e-4 of their weight, and their
+    # rates are within that of the Gaussian engine's
+    code, out, _ = run_cli(["validate", "--trials", "0", "--cutoff", "6"], capsys)
+    assert code == 0
+    assert "cross-engine rates (cutoff 6): worst gap 9.492e-05 (tol 2.4e-04) -> pass" in out
 
 
 def test_validate_prints_the_seeded_numbers(capsys):
@@ -552,7 +598,9 @@ def test_validation_checks_are_live(monkeypatch):
     assert ok
     assert len(lines) == 3 and all(line.endswith(" -> pass") for line in lines)
     for layer, (name, value) in enumerate(
-        [("GOLDEN_TOL", 1e-30), ("CROSS_TOL", 1e-30), ("CLASSICAL_TOL", -1)]
+        # the cross-engine bound is CROSS_TOL plus the replicas' tail, 2.4e-6 at
+        # cutoff 10, so no tiny positive CROSS_TOL fails it
+        [("GOLDEN_TOL", 1e-30), ("CROSS_TOL", -1), ("CLASSICAL_TOL", -1)]
     ):
         with monkeypatch.context() as patch:
             patch.setattr(cli, name, value)
@@ -1140,9 +1188,9 @@ def test_replica_limits_are_error_lines(engine, tmp_path, capsys):
     code, out, err = run_cli(base + ["--config", str(path)], capsys)
     assert code == 1
     assert err == "error: |u| = 0.4 exceeds the limit 0.1\n"
-    code, out, err = run_cli(base + ["--state", json.dumps(SQUEEZED), "--cutoff", "200"], capsys)
+    code, out, err = run_cli(base + ["--state", json.dumps(SQUEEZED), "--cutoff", "250"], capsys)
     assert code == 1
-    assert err.startswith("error: basis dimension ") and " exceeds " in err
+    assert err.startswith("error: the Fock replica at cutoff 250 needs ") and POLICY in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -1157,13 +1205,14 @@ REPLICA_REFUSALS = [
         "error: |u| = 0.3 exceeds the limit 0.1\n",
     ),
     (
-        SQUEEZED, ["--cutoff", "200"],
-        "error: basis dimension 70058751 exceeds the configured maximum 2000000 "
-        "(4 modes, cutoff 200)\n",
+        SQUEEZED, ["--cutoff", "250"],
+        "error: the Fock replica at cutoff 250 needs 2000376 entries, "
+        "past the configured maximum of 2000000 (policy max_dimension)\n",
     ),
     (
         SQUEEZED, ["--config", "dimension"],
-        "error: basis dimension 4845 exceeds the configured maximum 100 (4 modes, cutoff 16)\n",
+        "error: the Fock replica at cutoff 16 needs 729 entries, "
+        "past the configured maximum of 100 (policy max_dimension)\n",
     ),
 ]
 

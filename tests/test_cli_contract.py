@@ -119,10 +119,12 @@ def test_main_keeps_its_contract(rnd, fault_rate, tmp_path):
 
     config = None
     if rnd.random() < 0.5:
-        # every config file bounds the Fock basis and the sweep at 5000
+        # every config file bounds what a command allocates; at 20 entries the
+        # basis, the replica, the scan tables and the sweep are each refused
+        # at some of the values above
         policy = {name: pick(TOLERANCES) for name in ("verdict_tol", "coherent_tail_tol",
                                                       "squeeze_limit") if rnd.random() < 0.3}
-        config = {"policy": {"max_dimension": 5000, **policy}}
+        config = {"policy": {"max_dimension": rnd.choice([20, 5000]), **policy}}
         config.update({key: config_value(key) for key in keys if rnd.random() < 0.5})
         if faulty():  # a key of another command, or of none
             config[rnd.choice(["bogus", "grid", "trials", "sweep"])] = 1

@@ -150,24 +150,26 @@ def test_replica_guards():
             build(SqueezedThermalSpec(0.4, 0.05, 1.0), 8, NumericalPolicy(squeeze_limit=0.1))
         with pytest.raises(ValueError, match=r"\|u\| = 0.3 exceeds the limit 0.1"):
             build(SqueezedThermalSpec(0.05, -0.3, 1.0), 8, NumericalPolicy(squeeze_limit=0.1))
-        with pytest.raises(DimensionLimitError, match="basis dimension"):
+        with pytest.raises(DimensionLimitError, match="the Fock replica at cutoff 12 needs 343"):
             build(SqueezedThermalSpec(0.4, 0.3, 1.0), 12, NumericalPolicy(max_dimension=100))
         with pytest.raises(ValueError, match=r"only pure \(kappa = 1\) states"):
             build(SqueezedThermalSpec(0.4, 0.3, 0.9), 12)
 
 
-def test_the_dimension_limit_is_the_basis_limit():
-    # the replica enumerates no basis, yet it is refused at exactly the
-    # dimension where the basis of the same cutoff is
+def test_the_replica_is_counted_by_its_blocks():
+    # the replica enumerates no basis: it is refused where its (cutoff // 2 + 1)^3
+    # block entries pass the limit, far past the cutoff its basis would be refused at
     spec = SqueezedThermalSpec(0.4, 0.3, 1.0)
     policy = NumericalPolicy(max_dimension=fock.enumerate_basis(4, 12).size)
-    assert gaussian.fock_replica(spec, 12, policy).cutoff == 12
-    for build in (gaussian.fock_replica, lambda *args: fock.enumerate_basis(4, *args[1:])):
-        with pytest.raises(DimensionLimitError) as info:
-            build(spec, 13, policy)
-        assert str(info.value) == (
-            "basis dimension 2380 exceeds the configured maximum 1820 (4 modes, cutoff 13)"
-        )
+    with pytest.raises(DimensionLimitError):
+        fock.enumerate_basis(4, 13, policy)
+    assert gaussian.fock_replica(spec, 23, policy).blocks.size == 12**3 <= 1820
+    with pytest.raises(DimensionLimitError) as info:
+        gaussian.fock_replica(spec, 24, policy)
+    assert str(info.value) == (
+        "the Fock replica at cutoff 24 needs 2197 entries, "
+        "past the configured maximum of 1820 (policy max_dimension)"
+    )
 
 
 def dense_tail(state):
