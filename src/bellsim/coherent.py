@@ -234,6 +234,7 @@ def classical_nonviolation_suite(seed, trials, policy=DEFAULT_POLICY):
     """
     if trials == 0:
         return SuiteReport(trials, 0, 0.0, 0.0, None)
+    policy.check_size(trials * _TRIAL_DOUBLES, f"a classical suite of {trials} trials")
     uniforms = _trial_uniforms(seed, 0, trials)
     _, weights, components, gaussians, angles = _trials_from_uniforms(uniforms)
     del uniforms  # before the QR, whose work sets the suite's peak memory

@@ -263,49 +263,47 @@ def _photon_number_tails(z):
 
 
 def coherent_required_cutoff(z, policy=DEFAULT_POLICY):
-    """Smallest total cutoff whose coherent-state tail meets coherent_tail_tol."""
-    return int(np.argmax(_photon_number_tails(z)[1] <= policy.coherent_tail_tol))
+    """Smallest total cutoff at which every coherent component of z meets coherent_tail_tol."""
+    tol = policy.coherent_tail_tol
+    return max(int(np.argmax(_photon_number_tails(row)[1] <= tol)) for row in np.atleast_2d(z))
 
 
 def synthesize_coherent(z, cutoff, policy=DEFAULT_POLICY):
-    """Multimode coherent state |z_1> ... |z_k> truncated at a total cutoff.
-
-    Amplitudes are the exact analytic ones, exp(-|z|^2/2) prod z^n/sqrt(n!);
-    no renormalization is applied. The discarded weight is the Poisson tail
-    P(N > cutoff) of the total photon number; unless it meets the policy
-    tail bound, a TruncationTailError names the smallest cutoff that does,
-    before any amplitude is formed.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    basis = enumerate_basis(z.size, cutoff, policy)
-    lam, tails = _photon_number_tails(z)
-    tail = float(tails[min(cutoff, tails.size - 1)])
-    if tail > policy.coherent_tail_tol:
-        needed = int(np.argmax(tails <= policy.coherent_tail_tol))
-        raise TruncationTailError(
-            f"coherent tail {tail:.3e} exceeds {policy.coherent_tail_tol:.1e} at "
-            f"cutoff {cutoff}; cutoff {needed} would satisfy the bound",
-            required_cutoff=needed,
-        )
-    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
-    # per-mode amplitude table: z^n / sqrt(n!)
-    table = z[:, None] ** np.arange(cutoff + 1) * np.exp(-0.5 * log_fact)
-    amp = np.prod(table[np.arange(z.size)[None, :], basis.occupations], axis=1)
-    amp *= math.exp(-0.5 * lam)
-    return OccupationState(basis, amp, tail)
+    """Multimode coherent state |z_1> ... |z_k> at a total cutoff: a one-component mixture."""
+    mixed = synthesize_coherent_mixture([1.0], [z], cutoff, policy)
+    return OccupationState(mixed.basis, mixed.amplitudes[0], mixed.truncation_tail)
 
 
 def synthesize_coherent_mixture(weights, components, cutoff, policy=DEFAULT_POLICY):
     """Positive mixture of coherent states components[r] truncated at a total cutoff.
 
-    Each component is synthesized as by :func:`synthesize_coherent`; the
-    mixture's tail is the weighted tail of its components.
+    Amplitudes are the exact analytic ones, exp(-|z|^2/2) prod z^n/sqrt(n!),
+    not renormalized. A component's tail is the Poisson P(N > cutoff) of its
+    photon number, the mixture's their weighted sum. Unless every tail meets
+    the policy bound, a TruncationTailError names the largest and the cutoff
+    :func:`coherent_required_cutoff` gives, before any amplitude is formed.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    states = [synthesize_coherent(z, cutoff, policy) for z in components]
-    tail = float(np.sum(weights * [s.truncation_tail for s in states]))
-    amplitudes = np.array([s.amplitudes for s in states])
-    return MixedState(states[0].basis, weights, amplitudes, tail)
+    z = np.asarray(components, dtype=np.complex128)
+    basis = enumerate_basis(z.shape[1], cutoff, policy)
+    lams, tails = zip(*map(_photon_number_tails, z))
+    tails = np.array([tail[min(cutoff, tail.size - 1)] for tail in tails])
+    if tails.max() > policy.coherent_tail_tol:
+        needed = coherent_required_cutoff(z, policy)
+        raise TruncationTailError(
+            f"coherent tail {tails.max():.3e} exceeds {policy.coherent_tail_tol:.1e} at "
+            f"cutoff {cutoff}; cutoff {needed} would satisfy the bound",
+            required_cutoff=needed,
+        )
+    log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, cutoff + 1))]))
+    # amplitude table [component, mode, n]: z^n / sqrt(n!)
+    table = z[:, :, None] ** np.arange(cutoff + 1) * np.exp(-0.5 * log_fact)
+    # a full index gathers [component, state, mode] contiguously, so each
+    # component's product runs in the order it runs for a lone component
+    rows = np.arange(z.shape[0])[:, None, None]
+    amp = np.prod(table[rows, np.arange(basis.mode_count), basis.occupations], axis=-1)
+    amp *= np.array([[math.exp(-0.5 * lam)] for lam in lams])
+    return MixedState(basis, weights, amp, float(np.sum(weights * tails)))
 
 
 def two_photon_state():

@@ -77,6 +77,23 @@ validation: pass
 """,
         "warning: trials = 0, classical suite was skipped\n",
     ),
+    "validate_past_the_limit": Case(
+        # 24391 trials x 82 uniforms is past the default max_dimension; 24390 pass
+        ["validate", "--trials", "24391"],
+        1,
+        "",
+        "error: a classical suite of 24391 trials needs 2000062 entries, "
+        "past the configured maximum of 2000000 (policy max_dimension)\n",
+    ),
+    "mixture_past_the_cutoff": Case(
+        # the refusal names the cutoff of the largest component, not of the first
+        ["run", "--engine", "fock", "--cutoff", "10", "--angles", "0,0,0,0", "--state",
+         '{"kind":"mixture","weights":[0.5,0.5],"components":[[2,0,0,0],[4,0,0,0]]}'],
+        1,
+        "",
+        "error: coherent tail 9.226e-01 exceeds 1.0e-08 at cutoff 10; "
+        "cutoff 43 would satisfy the bound\n",
+    ),
     "unknown_kind": Case(
         ["run", "--state", "warp_core"],
         1,

@@ -487,6 +487,9 @@ def test_a_sweep_past_the_point_limit_is_one_error_line(step, named, tmp_path, c
     # 111 u values x 9 (scenario, kappa) pairs = 999 points; 112 x 9 = 1008
     pytest.param(["sweep", "--u-step", "0.01", "--u-stop"], 999, "1.1", "1.11",
                  "a sweep of 112 u values x 9 (scenario, kappa) pairs needs 1008", id="sweep"),
+    # 10 trials x 82 uniforms = 820 entries; 11 x 82 = 902
+    pytest.param(["validate", "--trials"], 820, "10", "11",
+                 "a classical suite of 11 trials needs 902", id="validate"),
 ])
 def test_every_size_limit_is_one_rule(argv, limit, allowed, refused, what, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

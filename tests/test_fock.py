@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import comb, factorial
 from scipy.stats import poisson
 
@@ -192,6 +194,29 @@ def test_the_cutoff_a_coherent_refusal_names_is_accepted(tol):
     assert state.truncation_tail <= tol
     assert state.truncation_tail == pytest.approx(poisson.sf(needed, np.sum(z**2)), rel=1e-12)
     assert abs(states.norm(state) ** 2 + state.truncation_tail - 1.0) < 1e-13
+
+
+MODE_AMPLITUDES = st.builds(complex, st.floats(-0.8, 0.8), st.floats(-0.8, 0.8))
+# |z|^2 is at most 4 x 1.28 per component, whose cutoff 22 keeps 14950 basis states
+COMPONENTS = st.lists(st.lists(MODE_AMPLITUDES, min_size=4, max_size=4), min_size=2, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(components=COMPONENTS)
+def test_a_refused_mixture_names_the_cutoff_every_component_meets(components):
+    # whichever component fails first, every refused cutoff names the
+    # largest component's, and the mixture builds there
+    needed = max(fock.coherent_required_cutoff(z) for z in components)
+    assert fock.coherent_required_cutoff(components) == needed
+    weights = np.full(len(components), 1.0 / len(components))
+    mixed = fock.synthesize_coherent_mixture(weights, components, needed)
+    assert isinstance(mixed, fock.MixedState)
+    for row, z in zip(mixed.amplitudes, components, strict=True):
+        assert np.array_equal(row, fock.synthesize_coherent(z, needed).amplitudes)
+    for cutoff in range(needed):
+        with pytest.raises(TruncationTailError, match=f"cutoff {needed} would satisfy") as refused:
+            fock.synthesize_coherent_mixture(weights, components, cutoff)
+        assert refused.value.required_cutoff == needed
 
 
 def test_two_photon_state_support():
